@@ -7,7 +7,8 @@
 //   -config FILE       read flags from a config file (command line wins)
 //   -workload NAME     workload to run (default gcc; see -list)
 //   -list              list available workloads and exit
-//   -instr N           committed-instruction budget (default 300000)
+//   -instr N           committed-instruction budget (default 1000000, or
+//                      $REESE_SIM_INSTR; sim::default_instruction_budget())
 //   -reese 0|1         enable REESE (default 0 = baseline)
 //   -spare_alus N      extra integer ALUs for the REESE model
 //   -spare_mults N     extra integer mult/div units

@@ -23,40 +23,10 @@ void Pipeline::franklin_first_completion(u32 slot_index) {
   RuuEntry& entry = ruu_[slot_index];
   assert(franklin_mode() && !entry.first_done);
   entry.first_done = true;
-  entry.complete_cycle = now_;
-  trace(TraceKind::kComplete, entry.seq, entry.pc, entry.inst, entry.spec);
-
-  // Wake consumers now: results forward to dependents before comparison
-  // (only the commit is gated, §4.3 of the paper describes the same rule).
-  for (const Consumer& consumer : entry.consumers) {
-    if (!ref_alive(consumer.ref)) continue;
-    RuuEntry& waiter = ruu_[consumer.ref.slot];
-    waiter.dep_ready[consumer.operand] = true;
-    if (waiter.deps_ready()) {
-      unissued_mask_ |= ruu_mask_bit(consumer.ref.slot);
-    }
-  }
-  entry.consumers.clear();
-
-  // Branch resolution happens on the primary execution; the duplicate only
-  // verifies it.
-  if (entry.is_control && !entry.spec) {
-    ++stats_.branches_resolved;
-    if (isa::is_cond_branch(entry.inst.op)) {
-      ++stats_.cond_branches_resolved;
-      if (entry.mispredicted) ++stats_.cond_branch_mispredicts;
-    }
-    if (entry.used_direction_predictor) {
-      direction_->update(entry.pc, entry.taken, entry.pred_meta);
-    }
-    if (entry.taken && entry.inst.op != isa::Opcode::kJal) {
-      btb_.update(entry.pc, entry.actual_next);
-    }
-    if (entry.mispredicted) {
-      ++stats_.branch_mispredicts;
-      recover_from_mispredict(slot_index);
-    }
-  }
+  // Results forward to dependents before comparison (only the commit is
+  // gated, §4.3 of the paper describes the same rule); branch resolution
+  // happens on the primary execution, and the duplicate only verifies it.
+  finish_execution(slot_index);
 
   // Create the comparator's stored copy; the fault hook may corrupt it
   // (or schedule a flip of the duplicate execution's output).

@@ -393,7 +393,7 @@ void Pipeline::stage_dispatch() {
     }
     link_dependencies(&entry, slot_index);
     // Ready at dispatch → straight into the issue scan; otherwise the
-    // producer's completion wakes it into the mask (see complete_entry).
+    // producer's completion wakes it into the mask (see finish_execution).
     if (entry.deps_ready()) unissued_mask_ |= ruu_mask_bit(slot_index);
 
     ++stats_.dispatched;
@@ -622,6 +622,11 @@ void Pipeline::complete_entry(u32 slot_index) {
   RuuEntry& entry = ruu_[slot_index];
   assert(entry.valid && entry.issued && !entry.completed);
   entry.completed = true;
+  finish_execution(slot_index);
+}
+
+void Pipeline::finish_execution(u32 slot_index) {
+  RuuEntry& entry = ruu_[slot_index];
   entry.complete_cycle = now_;
   trace(TraceKind::kComplete, entry.seq, entry.pc, entry.inst, entry.spec);
 

@@ -297,8 +297,13 @@ class Pipeline {
   enum class LoadPlan : u8 { kBlocked, kForward, kCache };
   LoadPlan plan_load(u32 ruu_slot);
 
-  /// Mark entry complete, wake consumers, resolve branches.
+  /// Mark entry complete, then finish_execution().
   void complete_entry(u32 slot);
+
+  /// An execution's result is ready: record the completion cycle, wake
+  /// consumers and resolve the entry if it is a branch. Shared by the
+  /// baseline/REESE completion and Franklin's first execution.
+  void finish_execution(u32 slot);
 
   /// Squash all RUU/LSQ/IFQ entries younger than `branch_slot` and redirect
   /// fetch to the branch's actual target.

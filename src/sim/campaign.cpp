@@ -996,7 +996,7 @@ bool place_shard(const CampaignSpec& resolved, const CampaignWire& shard,
                        shard.replica_begin,
                        shard.replica_begin + shard_replicas,
                        resolved.replica_begin,
-                       resolved.replica_begin + resolved.replicas));
+                       usize{resolved.replica_begin} + resolved.replicas));
   }
   if (merged->cells.size() != resolved.variants.size() ||
       (merged->cells.size() > 0 &&

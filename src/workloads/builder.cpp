@@ -1,5 +1,7 @@
 #include "workloads/builder.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
@@ -8,41 +10,38 @@
 
 namespace reese::workloads {
 
-std::string dword_table(const std::string& label,
-                        std::span<const u64> values) {
-  std::string out = "  .align 8\n" + label + ":\n";
-  for (usize i = 0; i < values.size(); i += 8) {
-    out += "  .dword ";
-    for (usize j = i; j < std::min(values.size(), i + 8); ++j) {
-      if (j != i) out += ", ";
-      out += format("0x%llx", static_cast<unsigned long long>(values[j]));
+std::string dword_table(const std::string& label, std::span<const u64> values,
+                        DataTables* tables) {
+  std::vector<u8> bytes;
+  for (u64 value : values) {
+    for (unsigned b = 0; b < 8; ++b) {
+      bytes.push_back(static_cast<u8>(value >> (8 * b)));
     }
-    out += "\n";
   }
-  return out;
+  return "  .align 8\n" + byte_table(label, bytes, tables);
 }
 
-std::string byte_table(const std::string& label, std::span<const u8> values) {
-  std::string out = label + ":\n";
-  for (usize i = 0; i < values.size(); i += 16) {
-    out += "  .byte ";
-    for (usize j = i; j < std::min(values.size(), i + 16); ++j) {
-      if (j != i) out += ", ";
-      out += std::to_string(values[j]);
-    }
-    out += "\n";
-  }
-  return out;
+std::string byte_table(const std::string& label, std::span<const u8> values,
+                       DataTables* tables) {
+  tables->emplace_back(label, std::vector<u8>(values.begin(), values.end()));
+  return format("%s: .space %zu\n", label.c_str(), values.size());
 }
 
-isa::Program assemble_or_die(const std::string& source, const char* name) {
+isa::Program assemble_or_die(const std::string& source, const char* name,
+                             const DataTables& tables) {
   auto result = isa::assemble(source);
   if (!result.ok()) {
     std::fprintf(stderr, "workload '%s' failed to assemble: %s\n", name,
                  result.error().to_string().c_str());
     std::abort();
   }
-  return std::move(result).value();
+  isa::Program program = std::move(result).value();
+  for (const auto& [label, bytes] : tables) {
+    const Addr offset = program.symbol(label) - program.data_base;
+    assert(offset + bytes.size() <= program.data.size());
+    std::copy(bytes.begin(), bytes.end(), program.data.begin() + offset);
+  }
+  return program;
 }
 
 std::string program_shell(const std::string& kernel_label, u64 iterations) {

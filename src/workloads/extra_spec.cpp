@@ -3,7 +3,6 @@
 // suite's behaviour can be explored; clearly labelled as such.
 #include <vector>
 
-#include "common/strutil.h"
 #include "workloads/builder.h"
 #include "workloads/workload.h"
 
@@ -68,7 +67,8 @@ cp_done:
 
   .data
 )";
-  source += byte_table("input", input);
+  DataTables tables;
+  source += byte_table("input", input, &tables);
   source += "  .align 8\ndict: .space 2048\n";
 
   Workload workload;
@@ -76,7 +76,7 @@ cp_done:
   workload.mimics = "SPECint95 129.compress (extension; not in the paper)";
   workload.description =
       "run-length scan + dictionary hashing over 3 KiB of runs";
-  workload.program = assemble_or_die(source, "compress_like");
+  workload.program = assemble_or_die(source, "compress_like", tables);
   return workload;
 }
 
@@ -174,14 +174,15 @@ h_store:
 toy_regs: .space 64
 handlers: .dword h_add, h_xor, h_shift, h_loadi, h_store
 )";
-  source += dword_table("toy_prog", toy_program);
+  DataTables tables;
+  source += dword_table("toy_prog", toy_program, &tables);
 
   Workload workload;
   workload.name = "m88ksim";
   workload.mimics = "SPECint95 124.m88ksim (extension; not in the paper)";
   workload.description =
       "toy-machine interpreter with indirect jump-table dispatch";
-  workload.program = assemble_or_die(source, "m88ksim_like");
+  workload.program = assemble_or_die(source, "m88ksim_like", tables);
   return workload;
 }
 

@@ -7,7 +7,6 @@
 #include <bit>
 #include <vector>
 
-#include "common/strutil.h"
 #include "workloads/builder.h"
 #include "workloads/workload.h"
 
@@ -88,14 +87,15 @@ sw_col:
 
   .data
 )";
-  source += dword_table("grid_u", grid_u);
-  source += dword_table("grid_v", grid_v);
+  DataTables tables;
+  source += dword_table("grid_u", grid_u, &tables);
+  source += dword_table("grid_v", grid_v, &tables);
 
   Workload workload;
   workload.name = "swim";
   workload.mimics = "SPECfp95 102.swim (extension; not in the paper)";
   workload.description = "5-point double-precision stencil over a 32x32 grid";
-  workload.program = assemble_or_die(source, "swim_like");
+  workload.program = assemble_or_die(source, "swim_like", tables);
   return workload;
 }
 
@@ -153,15 +153,16 @@ tc_loop:
 
   .data
 )";
-  source += dword_table("xs", xs);
-  source += dword_table("ys", ys);
+  DataTables tables;
+  source += dword_table("xs", xs, &tables);
+  source += dword_table("ys", ys, &tables);
 
   Workload workload;
   workload.name = "tomcatv";
   workload.mimics = "SPECfp95 101.tomcatv (extension; not in the paper)";
   workload.description =
       "per-point sqrt/divide normalization over 512 double pairs";
-  workload.program = assemble_or_die(source, "tomcatv_like");
+  workload.program = assemble_or_die(source, "tomcatv_like", tables);
   return workload;
 }
 

@@ -9,7 +9,6 @@
 // iteration so the history keeps shifting.
 #include <vector>
 
-#include "common/strutil.h"
 #include "workloads/builder.h"
 #include "workloads/workload.h"
 
@@ -108,14 +107,15 @@ cell_done:
 
   .data
 )";
-  source += byte_table("board", board);
+  DataTables tables;
+  source += byte_table("board", board, &tables);
 
   Workload workload;
   workload.name = "go";
   workload.mimics = "SPECint95 099.go (train)";
   workload.description =
       "19x19 board pattern scan; branch outcomes follow random board data";
-  workload.program = assemble_or_die(source, "go_like");
+  workload.program = assemble_or_die(source, "go_like", tables);
   return workload;
 }
 

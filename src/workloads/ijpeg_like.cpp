@@ -8,7 +8,6 @@
 // multiplier pressure — the opposite end of the spectrum from go.
 #include <vector>
 
-#include "common/strutil.h"
 #include "workloads/builder.h"
 #include "workloads/workload.h"
 
@@ -103,20 +102,21 @@ pixel_row:
 
   .data
 )";
-  source += byte_table("image", image);
+  DataTables tables;
+  source += byte_table("image", image, &tables);
   std::vector<u64> qtable;
   for (unsigned i = 0; i < 8; ++i) qtable.push_back(1 + rng.next_below(15));
-  source += dword_table("qtable", qtable);
+  source += dword_table("qtable", qtable, &tables);
   std::vector<u64> zigzag;
   for (unsigned i = 0; i < 8; ++i) zigzag.push_back(rng.next_below(64));
-  source += dword_table("zigzag", zigzag);
+  source += dword_table("zigzag", zigzag, &tables);
 
   Workload workload;
   workload.name = "ijpeg";
   workload.mimics = "SPECint95 132.ijpeg (specmun)";
   workload.description =
       "8x8 integer DCT-style transform + quantization over a 64x64 image";
-  workload.program = assemble_or_die(source, "ijpeg_like");
+  workload.program = assemble_or_die(source, "ijpeg_like", tables);
   return workload;
 }
 

@@ -202,6 +202,8 @@ TEST(Shard, PlaceShardEnforcesTheIdentityContract) {
   foreign = wire;
   foreign.replica_begin = resolved.replicas;  // range falls off the end
   EXPECT_FALSE(sim::place_shard(resolved, foreign, &merged, &error));
+  EXPECT_EQ(error,
+            "shard identity: replica range [5, 8) outside campaign [0, 5)");
 
   // The genuine shard merges once — and only once (double delivery, e.g.
   // a re-dispatched shard whose first worker was wrongly declared dead,
