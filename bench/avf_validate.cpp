@@ -31,8 +31,6 @@
 // report cannot be written, or fewer than two programs pass.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -41,8 +39,8 @@
 
 #include "analysis/vuln.h"
 #include "common/diag.h"
+#include "common/flags.h"
 #include "common/strutil.h"
-#include "common/thread_pool.h"
 #include "isa/assembler.h"
 #include "sim/campaign.h"
 
@@ -85,38 +83,18 @@ int main(int argc, char** argv) {
   bool quick = false;
   double min_rho = 0.6;
   std::string out_path = "BENCH_avf.json";
-  std::vector<std::string> program_paths;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "avf_validate: %s needs a value\n", arg);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      spec.jobs = sanitize_job_count(std::strtol(next_value(), nullptr, 10));
-    } else if (std::strcmp(arg, "--replicas") == 0) {
-      spec.replicas = static_cast<u32>(std::atoi(next_value()));
-    } else if (std::strcmp(arg, "--rate") == 0) {
-      spec.rate = std::atof(next_value());
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      spec.seed = static_cast<u64>(std::strtoull(next_value(), nullptr, 0));
-    } else if (std::strcmp(arg, "--min-rho") == 0) {
-      min_rho = std::atof(next_value());
-    } else if (std::strcmp(arg, "--out") == 0) {
-      out_path = next_value();
-    } else if (arg[0] == '-') {
-      std::fprintf(stderr, "avf_validate: unknown argument %s\n", arg);
-      return 2;
-    } else {
-      program_paths.push_back(arg);
-    }
-  }
+  FlagParser flags;
+  flags.add("--quick", &quick);
+  flags.add("--jobs", &spec.jobs);
+  flags.add("--replicas", &spec.replicas);
+  flags.add("--rate", &spec.rate);
+  flags.add("--seed", &spec.seed);
+  flags.add("--min-rho", &min_rho);
+  flags.add("--out", &out_path);
+  flags.accept_operands();
+  if (!flags.parse_or_report(argc, argv)) return 2;
+  std::vector<std::string> program_paths = flags.positional();
   if (program_paths.empty()) program_paths = default_programs();
   if (program_paths.empty()) {
     std::fprintf(stderr, "avf_validate: no input programs\n");

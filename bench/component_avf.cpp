@@ -47,8 +47,8 @@
 
 #include "analysis/vuln.h"
 #include "common/diag.h"
+#include "common/flags.h"
 #include "common/strutil.h"
-#include "common/thread_pool.h"
 #include "isa/assembler.h"
 #include "sim/campaign.h"
 
@@ -150,37 +150,16 @@ int main(int argc, char** argv) {
   bool skip_xval = false;
   std::string out_path = "BENCH_cavf.json";
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "component_avf: %s needs a value\n", arg);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      spec.jobs = sanitize_job_count(std::strtol(next_value(), nullptr, 10));
-    } else if (std::strcmp(arg, "--replicas") == 0) {
-      spec.replicas = static_cast<u32>(std::atoi(next_value()));
-    } else if (std::strcmp(arg, "--instructions") == 0) {
-      spec.instructions =
-          static_cast<u64>(std::strtoull(next_value(), nullptr, 0));
-    } else if (std::strcmp(arg, "--rate") == 0) {
-      spec.rate = std::atof(next_value());
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      spec.seed = static_cast<u64>(std::strtoull(next_value(), nullptr, 0));
-    } else if (std::strcmp(arg, "--out") == 0) {
-      out_path = next_value();
-    } else if (std::strcmp(arg, "--skip-xval") == 0) {
-      skip_xval = true;
-    } else {
-      std::fprintf(stderr, "component_avf: unknown argument %s\n", arg);
-      return 2;
-    }
-  }
+  FlagParser flags;
+  flags.add("--quick", &quick);
+  flags.add("--jobs", &spec.jobs);
+  flags.add("--replicas", &spec.replicas);
+  flags.add("--instructions", &spec.instructions);
+  flags.add("--rate", &spec.rate);
+  flags.add("--seed", &spec.seed);
+  flags.add("--out", &out_path);
+  flags.add("--skip-xval", &skip_xval);
+  if (!flags.parse_or_report(argc, argv)) return 2;
   // This bench resolves its own quick mode (CampaignSpec::quick would also
   // clamp replicas after --replicas was parsed).
   if (spec.replicas == 12) spec.replicas = quick ? 1 : 8;

@@ -9,15 +9,17 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/flags.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 
 using namespace reese;
 
 int main(int argc, char** argv) {
-  reese::sim::parse_jobs_flag(argc, argv);
-  reese::sim::parse_checkpoint_flags(argc, argv);
   sim::ExperimentSpec spec;
+  FlagParser flags;
+  sim::add_grid_flags(&flags, &spec.jobs, &spec.checkpoint);
+  if (!flags.parse_or_report(argc, argv)) return 2;
   spec.title = "E2: Figure 2 grid across 5 workload-data seeds";
   spec.base = core::starting_config();
   spec.models = {sim::Model::kBaseline, sim::Model::kReese,

@@ -19,7 +19,7 @@
 //                       [--out PATH] [--checkpoint-dir D] [--resume-from D]
 //
 //   --quick       CI mode: 1 replica, 20k-instruction cells (≈10³ injections)
-//   --jobs N      worker threads (default: auto; also -jobs/--jobs=/REESE_JOBS)
+//   --jobs N      worker threads (default: auto; REESE_JOBS honoured)
 //   --out PATH    report path (default: BENCH_fault.json in the CWD)
 //   --checkpoint-dir D   write per-cell ".done" records into D
 //   --resume-from D      skip cells already recorded in D (implies dir)
@@ -27,11 +27,9 @@
 // Exit status 1 when a coverage expectation fails (a full-re-execution
 // REESE variant escaped a fault, or the baseline "detected" one).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "common/thread_pool.h"
+#include "common/flags.h"
 #include "sim/campaign.h"
 
 using namespace reese;
@@ -40,42 +38,15 @@ int main(int argc, char** argv) {
   sim::CampaignSpec spec;
   std::string out_path = "BENCH_fault.json";
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "fault_coverage: %s needs a value\n", arg);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--quick") == 0) {
-      spec.quick = true;
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      spec.jobs = sanitize_job_count(std::strtol(next_value(), nullptr, 10));
-    } else if (std::strcmp(arg, "--replicas") == 0) {
-      spec.replicas = static_cast<u32>(std::atoi(next_value()));
-    } else if (std::strcmp(arg, "--instructions") == 0) {
-      spec.instructions = static_cast<u64>(std::atoll(next_value()));
-    } else if (std::strcmp(arg, "--rate") == 0) {
-      spec.rate = std::atof(next_value());
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      spec.seed = static_cast<u64>(std::strtoull(next_value(), nullptr, 0));
-    } else if (std::strcmp(arg, "--out") == 0) {
-      out_path = next_value();
-    } else if (std::strcmp(arg, "--checkpoint-dir") == 0) {
-      spec.checkpoint.dir = next_value();
-    } else if (std::strcmp(arg, "--checkpoint-interval") == 0) {
-      spec.checkpoint.interval =
-          static_cast<u64>(std::atoll(next_value()));
-    } else if (std::strcmp(arg, "--resume-from") == 0) {
-      spec.checkpoint.dir = next_value();
-      spec.checkpoint.resume = true;
-    } else {
-      std::fprintf(stderr, "fault_coverage: unknown argument %s\n", arg);
-      return 2;
-    }
-  }
+  FlagParser flags;
+  flags.add("--quick", &spec.quick);
+  flags.add("--replicas", &spec.replicas);
+  flags.add("--instructions", &spec.instructions);
+  flags.add("--rate", &spec.rate);
+  flags.add("--seed", &spec.seed);
+  flags.add("--out", &out_path);
+  sim::add_grid_flags(&flags, &spec.jobs, &spec.checkpoint);
+  if (!flags.parse_or_report(argc, argv)) return 2;
 
   std::printf("A5: fault-injection coverage (single-bit flips on "
               "instruction results)\n");

@@ -13,12 +13,14 @@
 //    little.
 #include <cstdio>
 
+#include "common/flags.h"
 #include "sim/experiment.h"
 
 int main(int argc, char** argv) {
-  reese::sim::parse_jobs_flag(argc, argv);
-  reese::sim::parse_checkpoint_flags(argc, argv);
   reese::sim::ExperimentSpec spec;
+  reese::FlagParser flags;
+  reese::sim::add_grid_flags(&flags, &spec.jobs, &spec.checkpoint);
+  if (!flags.parse_or_report(argc, argv)) return 2;
   spec.title = "Figure 2: initial comparison between REESE and baseline "
                "(starting configuration)";
   spec.base = reese::core::starting_config();

@@ -5,12 +5,14 @@
 // REESE", and the +2ALU+1Mult bar is omitted because it matched +2ALU.
 #include <cstdio>
 
+#include "common/flags.h"
 #include "sim/experiment.h"
 
 int main(int argc, char** argv) {
-  reese::sim::parse_jobs_flag(argc, argv);
-  reese::sim::parse_checkpoint_flags(argc, argv);
   reese::sim::ExperimentSpec spec;
+  reese::FlagParser flags;
+  reese::sim::add_grid_flags(&flags, &spec.jobs, &spec.checkpoint);
+  if (!flags.parse_or_report(argc, argv)) return 2;
   spec.title = "Figure 5: IPC for additional memory ports (4 ports)";
   spec.base = reese::core::starting_config();
   spec.base.ruu_size = 32;

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/strutil.h"
 #include "sim/experiment.h"
 
@@ -36,8 +37,11 @@ core::CoreConfig variation(int which) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  reese::sim::parse_jobs_flag(argc, argv);
-  reese::sim::parse_checkpoint_flags(argc, argv);
+  u32 jobs = 0;
+  sim::CheckpointOptions checkpoint;
+  FlagParser flags;
+  sim::add_grid_flags(&flags, &jobs, &checkpoint);
+  if (!flags.parse_or_report(argc, argv)) return 2;
   const std::vector<std::string> variations = {"None", "RUU,LSQ 2X", "Ex.Q 2X",
                                                "MemPorts"};
   std::printf("Figure 6: summary of results (average IPC per hardware "
@@ -50,6 +54,8 @@ int main(int argc, char** argv) {
 
   for (int which = 0; which < 4; ++which) {
     sim::ExperimentSpec spec;
+    spec.jobs = jobs;
+    spec.checkpoint = checkpoint;
     spec.title = variations[which];
     spec.base = variation(which);
     const sim::ExperimentResult result = sim::run_experiment(spec);

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/strutil.h"
 #include "sim/experiment.h"
 
@@ -47,8 +48,11 @@ core::CoreConfig config_for(const Point& point) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  reese::sim::parse_jobs_flag(argc, argv);
-  reese::sim::parse_checkpoint_flags(argc, argv);
+  u32 jobs = 0;
+  sim::CheckpointOptions checkpoint;
+  FlagParser flags;
+  sim::add_grid_flags(&flags, &jobs, &checkpoint);
+  if (!flags.parse_or_report(argc, argv)) return 2;
   const std::vector<Point> points = {
       {"RUU=64", 64, false},
       {"RUU=64+FUs", 64, true},
@@ -61,6 +65,8 @@ int main(int argc, char** argv) {
               "R+2ALU", "REESE gap");
   for (const Point& point : points) {
     sim::ExperimentSpec spec;
+    spec.jobs = jobs;
+    spec.checkpoint = checkpoint;
     spec.title = point.label;
     spec.base = config_for(point);
     spec.models = {sim::Model::kBaseline, sim::Model::kReese,

@@ -21,11 +21,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/diag.h"
+#include "common/flags.h"
 #include "common/strutil.h"
 #include "sim/experiment.h"
 
@@ -160,31 +160,29 @@ std::string figure_json(const Figure& figure, const sim::ExperimentResult& r,
 }  // namespace
 
 int main(int argc, char** argv) {
-  sim::parse_jobs_flag(argc, argv);
-  sim::parse_checkpoint_flags(argc, argv);
-
   u64 instructions = kPaperBudget;
   std::string out_path = "BENCH_overnight.json";
-  bool checkpointing = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--instructions") == 0 && i + 1 < argc) {
-      instructions = static_cast<u64>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--no-checkpoint") == 0) {
-      checkpointing = false;
+  bool no_checkpoint = false;
+  u32 jobs = 0;
+  sim::CheckpointOptions checkpoint;
+  FlagParser flags;
+  flags.add("--instructions", &instructions);
+  flags.add("--out", &out_path);
+  flags.add("--no-checkpoint", &no_checkpoint);
+  sim::add_grid_flags(&flags, &jobs, &checkpoint);
+  if (!flags.parse_or_report(argc, argv)) return 2;
+
+  if (no_checkpoint) {
+    checkpoint = sim::CheckpointOptions{};
+  } else {
+    if (checkpoint.dir.empty()) {
+      checkpoint.dir = "overnight-ckpt";
+      checkpoint.resume = true;  // rerunning the target continues the night
+    }
+    if (checkpoint.interval == 0) {
+      checkpoint.interval = std::min(kDefaultInterval, instructions / 2);
     }
   }
-
-  sim::CheckpointOptions checkpoint = sim::default_checkpoint();
-  if (checkpointing && checkpoint.dir.empty()) {
-    checkpoint.dir = "overnight-ckpt";
-    checkpoint.resume = true;  // rerunning the target continues the night
-  }
-  if (checkpointing && checkpoint.interval == 0) {
-    checkpoint.interval = std::min(kDefaultInterval, instructions / 2);
-  }
-  if (!checkpointing) checkpoint = sim::CheckpointOptions{};
 
   std::vector<Figure> figures = figure_set();
   std::printf("overnight: %zu figure grids at %llu instructions/cell "
@@ -198,6 +196,7 @@ int main(int argc, char** argv) {
   for (usize f = 0; f < figures.size(); ++f) {
     Figure& figure = figures[f];
     figure.spec.instructions = instructions;
+    figure.spec.jobs = jobs;
     figure.spec.checkpoint = checkpoint;
     const auto start = std::chrono::steady_clock::now();
     const sim::ExperimentResult result = sim::run_experiment(figure.spec);

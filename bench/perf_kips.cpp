@@ -9,45 +9,23 @@
 //   --jobs N         workers for the parallel grid phase (default: auto)
 //   --out PATH       report path (default: BENCH_perf.json in the CWD)
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "common/thread_pool.h"
+#include "common/flags.h"
 #include "sim/perf.h"
 
 int main(int argc, char** argv) {
   reese::sim::PerfOptions options;
   std::string out_path = "BENCH_perf.json";
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "perf_kips: %s needs a value\n", arg);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--quick") == 0) {
-      options.quick = true;
-    } else if (std::strcmp(arg, "--jobs") == 0) {
-      options.jobs =
-          reese::sanitize_job_count(std::strtol(next_value(), nullptr, 10));
-    } else if (std::strcmp(arg, "--reps") == 0) {
-      options.reps = static_cast<reese::u32>(std::atoi(next_value()));
-    } else if (std::strcmp(arg, "--warmup") == 0) {
-      options.warmup_reps = static_cast<reese::u32>(std::atoi(next_value()));
-    } else if (std::strcmp(arg, "--instructions") == 0) {
-      options.instructions =
-          static_cast<reese::u64>(std::atoll(next_value()));
-    } else if (std::strcmp(arg, "--out") == 0) {
-      out_path = next_value();
-    } else {
-      std::fprintf(stderr, "perf_kips: unknown argument %s\n", arg);
-      return 2;
-    }
-  }
+  reese::FlagParser flags;
+  flags.add("--quick", &options.quick);
+  flags.add("--jobs", &options.jobs);
+  flags.add("--reps", &options.reps);
+  flags.add("--warmup", &options.warmup_reps);
+  flags.add("--instructions", &options.instructions);
+  flags.add("--out", &out_path);
+  if (!flags.parse_or_report(argc, argv)) return 2;
 
   const reese::sim::PerfReport report = reese::sim::run_perf(options);
   if (!reese::sim::write_perf_report(report, out_path)) return 1;

@@ -24,19 +24,32 @@
 using namespace reese;
 
 int main(int argc, char** argv) {
-  FlagSet flags;
-  if (auto parsed = flags.parse(argc, argv); !parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.error().to_string().c_str());
-    return 2;
-  }
+  bool reese = false;
+  bool trace = false;
+  bool prelint = false;
+  bool run_pipeline = true;
+  bool pipetrace = false;
+  u64 trace_cap = 48;
+  u64 max_instructions = 10'000'000;
+  FlagParser flags;
+  flags.add("-reese", &reese);
+  flags.add("-trace", &trace);
+  flags.add("-prelint", &prelint);
+  flags.add("-pipeline", &run_pipeline);
+  flags.add("-pipetrace", &pipetrace);
+  flags.add("-tracecap", &trace_cap);
+  flags.add("-instr", &max_instructions);
+  flags.accept_operands();
+  if (!flags.parse_or_report(argc, argv)) return 2;
   if (flags.positional().empty()) {
     std::fprintf(stderr, "usage: asm_runner [-reese 0|1] [-trace 0|1] file.s\n");
     return 2;
   }
+  const std::string& path = flags.positional()[0];
 
-  std::ifstream file(flags.positional()[0]);
+  std::ifstream file(path);
   if (!file) {
-    std::fprintf(stderr, "cannot open %s\n", flags.positional()[0].c_str());
+    std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 2;
   }
   std::stringstream buffer;
@@ -44,7 +57,7 @@ int main(int argc, char** argv) {
 
   auto assembled = isa::assemble(buffer.str());
   if (!assembled.ok()) {
-    std::fprintf(stderr, "%s: %s\n", flags.positional()[0].c_str(),
+    std::fprintf(stderr, "%s: %s\n", path.c_str(),
                  assembled.error().to_string().c_str());
     return 1;
   }
@@ -53,12 +66,12 @@ int main(int argc, char** argv) {
               program.code.size(), program.data.size(),
               static_cast<unsigned long long>(program.entry));
 
-  if (flags.get_bool("prelint", false)) {
+  if (prelint) {
     const sim::PrelintResult lint = sim::prelint_program(program);
     if (!lint.diagnostics.empty()) {
       std::fprintf(stderr, "%s",
                    render_diagnostics(lint.diagnostics, DiagFormat::kText,
-                                      flags.positional()[0])
+                                      path)
                        .c_str());
     }
     if (!lint.ok) {
@@ -66,9 +79,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-
-  const bool trace = flags.get_bool("trace", false);
-  const u64 max_instructions = flags.get_u64("instr", 10'000'000);
 
   isa::Iss iss(program);
   if (trace) {
@@ -97,19 +107,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.out_hash),
               result.halted ? "halted" : (result.bad_pc ? "BAD PC" : "budget"));
 
-  if (flags.get_bool("pipeline", true)) {
+  if (run_pipeline) {
     core::CoreConfig config = core::starting_config();
-    if (flags.get_bool("reese", false)) config = core::with_reese(config, 2);
+    if (reese) config = core::with_reese(config, 2);
     core::Pipeline pipeline(program, config);
     // -pipetrace 1: collect the last N instruction lifecycles and print a
     // SimpleScalar-pipeview-style timeline after the run.
-    core::TimelineTracer tracer(
-        static_cast<usize>(flags.get_u64("tracecap", 48)));
-    if (flags.get_bool("pipetrace", false)) pipeline.set_tracer(&tracer);
+    core::TimelineTracer tracer(static_cast<usize>(trace_cap));
+    if (pipetrace) pipeline.set_tracer(&tracer);
     pipeline.run(max_instructions, 64 * max_instructions);
     std::printf("\npipeline (%s):\n%s", config.summary().c_str(),
                 pipeline.report().c_str());
-    if (flags.get_bool("pipetrace", false)) {
+    if (pipetrace) {
       std::printf("\npipeline timeline (last %zu instructions; DS=dispatch "
                   "IS=issue WB=writeback RI=r-issue RC=compare CT=commit):\n%s",
                   tracer.rows().size(), tracer.to_string().c_str());

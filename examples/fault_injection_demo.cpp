@@ -5,6 +5,7 @@
 //
 // Also runs the same campaign on the baseline to show every fault escaping.
 #include <cstdio>
+#include <string>
 
 #include "common/flags.h"
 #include "faults/injector.h"
@@ -14,14 +15,14 @@
 using namespace reese;
 
 int main(int argc, char** argv) {
-  FlagSet flags;
-  if (auto parsed = flags.parse(argc, argv); !parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.error().to_string().c_str());
-    return 2;
-  }
-  const std::string workload_name = flags.get_string("workload", "gcc");
-  const double rate = flags.get_double("rate", 1e-3);
-  const u64 budget = flags.get_u64("instr", 200'000);
+  std::string workload_name = "gcc";
+  double rate = 1e-3;
+  u64 budget = 200'000;
+  FlagParser flags;
+  flags.add("-workload", &workload_name);
+  flags.add("-rate", &rate);
+  flags.add("-instr", &budget);
+  if (!flags.parse_or_report(argc, argv)) return 2;
 
   for (const bool use_reese : {true, false}) {
     auto workload = workloads::make_workload(workload_name, {});

@@ -19,6 +19,8 @@
 //   -kreexec N         re-execute 1 of every N instructions
 //   -early 0|1         early release (default 1)
 //   -minsep N          enforced minimum P->R separation
+//                      (-rqueue, -kreexec, -early and -minsep only take
+//                      effect with -reese 1)
 //   -pred NAME         nottaken|taken|btfn|bimodal|gshare|local|tournament
 //   -seed N            workload data seed
 //   -fault_rate F      inject faults at rate F per instruction
@@ -30,8 +32,8 @@
 //   --trace-sample N   with --trace-out: trace every Nth instruction only
 //                      (default 1 = all; keeps long runs tractable)
 #include <cstdio>
-#include <cstring>
 #include <memory>
+#include <string>
 
 #include "common/flags.h"
 #include "core/chrome_trace.h"
@@ -67,20 +69,53 @@ bool pick_predictor(const std::string& name, branch::PredictorKind* out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  FlagSet flags;
-  if (auto parsed = flags.parse(argc, argv); !parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.error().to_string().c_str());
-    return 2;
-  }
-  if (flags.has("config")) {
-    if (auto loaded = flags.parse_file(flags.get_string("config", ""));
-        !loaded.ok()) {
+  core::CoreConfig config = core::starting_config();
+  u32 width = config.issue_width;
+  std::string pred;
+  bool reese = false;
+  u32 spare_alus = 0;
+  u32 spare_mults = 0;
+  std::string workload_name = "gcc";
+  workloads::WorkloadOptions options;
+  u64 instructions = sim::default_instruction_budget();
+  faults::InjectorConfig fault_config;
+  bool prelint = false;
+  std::string trace_path;
+  u64 trace_sample = 1;
+  std::string config_path;
+  bool list = false;
+
+  FlagParser flags;
+  flags.add("-config", &config_path);
+  flags.add("-workload", &workload_name);
+  flags.add("-list", &list);
+  flags.add("-instr", &instructions);
+  flags.add("-reese", &reese);
+  flags.add("-spare_alus", &spare_alus);
+  flags.add("-spare_mults", &spare_mults);
+  flags.add("-ruu", &config.ruu_size);
+  flags.add("-lsq", &config.lsq_size);
+  flags.add("-width", &width);
+  flags.add("-ports", &config.mem_port_count);
+  flags.add("-rqueue", &config.reese.rqueue_size);
+  flags.add("-kreexec", &config.reese.reexec_interval);
+  flags.add("-early", &config.reese.early_release);
+  flags.add("-minsep", &config.reese.min_separation);
+  flags.add("-pred", &pred);
+  flags.add("-seed", &options.seed);
+  flags.add("-fault_rate", &fault_config.rate);
+  flags.add("-prelint", &prelint);
+  flags.add("--trace-out", &trace_path);
+  flags.add("--trace-sample", &trace_sample);
+  if (!flags.parse_or_report(argc, argv)) return 2;
+  if (!config_path.empty()) {
+    if (auto loaded = flags.parse_file(config_path); !loaded.ok()) {
       std::fprintf(stderr, "%s\n", loaded.error().to_string().c_str());
       return 2;
     }
   }
 
-  if (flags.get_bool("list", false)) {
+  if (list) {
     std::printf("available workloads:\n");
     for (const std::string& name : workloads::all_workload_names()) {
       std::printf("  %s\n", name.c_str());
@@ -88,46 +123,22 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  core::CoreConfig config = core::starting_config();
-  config.ruu_size = static_cast<u32>(flags.get_u64("ruu", config.ruu_size));
-  config.lsq_size = static_cast<u32>(flags.get_u64("lsq", config.lsq_size));
-  const u32 width =
-      static_cast<u32>(flags.get_u64("width", config.issue_width));
   config.fetch_width = config.decode_width = width;
   config.issue_width = config.commit_width = width;
-  config.mem_port_count =
-      static_cast<u32>(flags.get_u64("ports", config.mem_port_count));
-  if (flags.has("pred")) {
-    if (!pick_predictor(flags.get_string("pred", "gshare"),
-                        &config.predictor)) {
-      std::fprintf(stderr, "unknown predictor\n");
-      return 2;
-    }
+  if (!pred.empty() && !pick_predictor(pred, &config.predictor)) {
+    std::fprintf(stderr, "unknown predictor\n");
+    return 2;
   }
-  if (flags.get_bool("reese", false)) {
-    config = core::with_reese(
-        config, static_cast<u32>(flags.get_u64("spare_alus", 0)),
-        static_cast<u32>(flags.get_u64("spare_mults", 0)));
-    config.reese.rqueue_size =
-        static_cast<u32>(flags.get_u64("rqueue", config.reese.rqueue_size));
-    config.reese.reexec_interval =
-        static_cast<u32>(flags.get_u64("kreexec", 1));
-    config.reese.early_release = flags.get_bool("early", true);
-    config.reese.min_separation =
-        static_cast<u32>(flags.get_u64("minsep", 0));
-  }
+  if (reese) config = core::with_reese(config, spare_alus, spare_mults);
 
-  workloads::WorkloadOptions options;
-  options.seed = flags.get_u64("seed", 0x5EED5EED);
-  auto workload =
-      workloads::make_workload(flags.get_string("workload", "gcc"), options);
+  auto workload = workloads::make_workload(workload_name, options);
   if (!workload.ok()) {
     std::fprintf(stderr, "%s (try -list)\n",
                  workload.error().to_string().c_str());
     return 2;
   }
 
-  if (flags.get_bool("prelint", false)) {
+  if (prelint) {
     const sim::PrelintResult lint =
         sim::prelint_program(workload.value().program);
     if (!lint.diagnostics.empty()) {
@@ -143,8 +154,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  faults::InjectorConfig fault_config;
-  fault_config.rate = flags.get_double("fault_rate", 0.0);
   faults::Injector injector(fault_config);
 
   sim::Simulator simulator(std::move(workload).value(), config);
@@ -155,7 +164,6 @@ int main(int argc, char** argv) {
   std::unique_ptr<core::FileTraceSink> trace_sink;
   std::unique_ptr<core::ChromeTraceTracer> chrome_tracer;
   std::unique_ptr<core::SamplingTracer> sampling_tracer;
-  const std::string trace_path = flags.get_string("trace-out", "");
   if (!trace_path.empty()) {
     trace_sink = std::make_unique<core::FileTraceSink>(trace_path);
     if (!trace_sink->ok()) {
@@ -163,10 +171,9 @@ int main(int argc, char** argv) {
       return 2;
     }
     chrome_tracer = std::make_unique<core::ChromeTraceTracer>(trace_sink.get());
-    const u64 sample = flags.get_u64("trace-sample", 1);
-    if (sample > 1) {
-      sampling_tracer =
-          std::make_unique<core::SamplingTracer>(chrome_tracer.get(), sample);
+    if (trace_sample > 1) {
+      sampling_tracer = std::make_unique<core::SamplingTracer>(
+          chrome_tracer.get(), trace_sample);
       simulator.pipeline().set_tracer(sampling_tracer.get());
     } else {
       simulator.pipeline().set_tracer(chrome_tracer.get());
@@ -177,8 +184,7 @@ int main(int argc, char** argv) {
               simulator.workload().mimics.c_str());
   std::printf("config:   %s\n\n", config.summary().c_str());
 
-  const sim::SimResult result =
-      simulator.run(flags.get_u64("instr", sim::default_instruction_budget()));
+  const sim::SimResult result = simulator.run(instructions);
 
   std::printf("%s", simulator.pipeline().report().c_str());
   if (fault_config.rate > 0.0) {

@@ -8,6 +8,7 @@
 // the overhead curve, marking the first configuration within 1% of the
 // baseline.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/flags.h"
@@ -28,20 +29,18 @@ double run_ipc(const std::string& name, const core::CoreConfig& config,
 }  // namespace
 
 int main(int argc, char** argv) {
-  FlagSet flags;
-  if (auto parsed = flags.parse(argc, argv); !parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.error().to_string().c_str());
-    return 2;
-  }
-  const u32 max_alus = static_cast<u32>(flags.get_u64("max_alus", 6));
-  const u64 budget = flags.get_u64("instr", sim::default_instruction_budget());
+  u32 max_alus = 6;
+  u64 budget = sim::default_instruction_budget();
+  std::string workload;
+  FlagParser flags;
+  flags.add("-workload", &workload);
+  flags.add("-max_alus", &max_alus);
+  flags.add("-instr", &budget);
+  if (!flags.parse_or_report(argc, argv)) return 2;
 
-  std::vector<std::string> names;
-  if (flags.has("workload")) {
-    names.push_back(flags.get_string("workload", "gcc"));
-  } else {
-    names = workloads::spec_like_names();
-  }
+  const std::vector<std::string> names =
+      workload.empty() ? workloads::spec_like_names()
+                       : std::vector<std::string>{workload};
 
   for (const std::string& name : names) {
     const double baseline = run_ipc(name, core::starting_config(), budget);

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+
+#include "common/flags.h"
 
 namespace reese {
 
@@ -16,27 +17,16 @@ u32 resolve_job_count(u32 requested) {
                  "concurrency\n",
                  requested, kMaxJobRequest);
   }
-  if (const char* env = std::getenv("REESE_JOBS")) {
-    const long value = std::atol(env);
-    if (value > 0 && value <= static_cast<long>(kMaxJobRequest)) {
-      return static_cast<u32>(value);
-    }
+  const u64 env = env_positive("REESE_JOBS", 0);
+  if (env > kMaxJobRequest) {
     std::fprintf(stderr,
-                 "jobs: REESE_JOBS=\"%s\" is not in [1, %u]; using hardware "
+                 "jobs: REESE_JOBS=%llu is above %u; using hardware "
                  "concurrency\n",
-                 env, kMaxJobRequest);
+                 static_cast<unsigned long long>(env), kMaxJobRequest);
+  } else if (env != 0) {
+    return static_cast<u32>(env);
   }
   return std::max(1u, std::thread::hardware_concurrency());
-}
-
-u32 sanitize_job_count(i64 requested, const char* flag) {
-  if (requested >= 1 && requested <= static_cast<i64>(kMaxJobRequest)) {
-    return static_cast<u32>(requested);
-  }
-  std::fprintf(stderr,
-               "jobs: %s %lld is not in [1, %u]; using hardware concurrency\n",
-               flag, static_cast<long long>(requested), kMaxJobRequest);
-  return 0;
 }
 
 ThreadPool::ThreadPool(u32 workers) {

@@ -32,17 +32,11 @@ namespace reese {
 inline constexpr u32 kMaxJobRequest = 1024;
 
 /// Resolve a worker-count request: any positive sane `requested` wins;
-/// 0 means auto — $REESE_JOBS if set and positive, else
-/// hardware_concurrency(). Out-of-range requests (including a $REESE_JOBS
-/// value that is not a positive integer) warn on stderr and fall back to
-/// auto. Always at least 1.
+/// 0 means auto — $REESE_JOBS if set, else hardware_concurrency().
+/// Out-of-range requests and a $REESE_JOBS value that is not an integer in
+/// [1, kMaxJobRequest] warn on stderr and fall back to hardware
+/// concurrency. Always at least 1.
 u32 resolve_job_count(u32 requested);
-
-/// Normalize a signed worker-count request from an untrusted source (CLI
-/// flag, JSON spec): values in [1, kMaxJobRequest] pass through; everything
-/// else (0, negative, absurd) warns on stderr — labelled with `flag` — and
-/// becomes 0 (auto, i.e. hardware concurrency via resolve_job_count).
-u32 sanitize_job_count(i64 requested, const char* flag = "--jobs");
 
 class ThreadPool {
  public:

@@ -549,10 +549,6 @@ CampaignSpec resolve_campaign_defaults(const CampaignSpec& spec_in) {
   if (spec.quick) spec.replicas = 1;
   if (spec.replicas == 0) spec.replicas = 1;
   if (spec.instructions == 0) spec.instructions = spec.quick ? 20'000 : 60'000;
-  if (spec.checkpoint.dir.empty() && spec.checkpoint.interval == 0 &&
-      !spec.checkpoint.resume) {
-    spec.checkpoint = default_checkpoint();
-  }
   return spec;
 }
 
@@ -815,8 +811,7 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
     account_cell(sim_result.committed);
   };
 
-  const u32 workers =
-      resolve_job_count(spec.jobs != 0 ? spec.jobs : default_jobs());
+  const u32 workers = resolve_job_count(spec.jobs);
   if (workers <= 1 || jobs.size() <= 1) {
     // Reference path: plain sequential loop on the calling thread.
     for (usize i = 0; i < jobs.size(); ++i) run_cell(i);

@@ -120,8 +120,7 @@ struct CampaignSpec {
   /// on the next run (mid-cell snapshots are not taken — the injector's
   /// in-flight fault windows are not part of the snapshot surface, and
   /// cells are short relative to experiment cells). `interval` is
-  /// therefore ignored here. Left default, the process-wide
-  /// default_checkpoint() applies.
+  /// therefore ignored here. Left default, nothing is checkpointed.
   CheckpointOptions checkpoint;
   /// Global index of this spec's first replica. 0 for a whole campaign; a
   /// shard produced by split_campaign_spec carries its offset here, so the

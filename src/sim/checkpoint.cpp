@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "common/flags.h"
 #include "common/snapshot.h"
 
 namespace reese::sim {
@@ -14,27 +13,11 @@ namespace {
 
 constexpr u32 kTagMeta = 0x4D455441;  // "META"
 
-CheckpointOptions g_default_checkpoint;
-
 bool file_exists(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) return false;
   std::fclose(file);
   return true;
-}
-
-/// Reads the value of "--flag VALUE" or "--flag=VALUE" at argv[i]; returns
-/// nullptr when argv[i] is not `flag`.
-const char* flag_value(int argc, char** argv, int* i, const char* flag) {
-  const char* arg = argv[*i];
-  const usize flag_len = std::strlen(flag);
-  if (std::strncmp(arg, flag, flag_len) != 0) return nullptr;
-  if (arg[flag_len] == '=') return arg + flag_len + 1;
-  if (arg[flag_len] == '\0' && *i + 1 < argc) {
-    ++*i;
-    return argv[*i];
-  }
-  return nullptr;
 }
 
 }  // namespace
@@ -103,28 +86,12 @@ bool load_snapshot(Simulator* simulator, const std::string& path,
   return true;
 }
 
-void set_default_checkpoint(const CheckpointOptions& options) {
-  g_default_checkpoint = options;
-}
-
-const CheckpointOptions& default_checkpoint() { return g_default_checkpoint; }
-
-void parse_checkpoint_flags(int argc, char** argv) {
-  CheckpointOptions options = g_default_checkpoint;
-  for (int i = 1; i < argc; ++i) {
-    if (const char* value = flag_value(argc, argv, &i, "--checkpoint-dir")) {
-      options.dir = value;
-    } else if (const char* value =
-                   flag_value(argc, argv, &i, "--checkpoint-interval")) {
-      const long long parsed = std::atoll(value);
-      options.interval = parsed > 0 ? static_cast<u64>(parsed) : 0;
-    } else if (const char* value =
-                   flag_value(argc, argv, &i, "--resume-from")) {
-      options.dir = value;
-      options.resume = true;
-    }
-  }
-  set_default_checkpoint(options);
+void add_grid_flags(FlagParser* flags, u32* jobs,
+                    CheckpointOptions* checkpoint) {
+  flags->add("--jobs", jobs);
+  flags->add("--checkpoint-dir", &checkpoint->dir);
+  flags->add("--checkpoint-interval", &checkpoint->interval);
+  flags->add("--resume-from", &checkpoint->dir, &checkpoint->resume);
 }
 
 SimResult run_with_checkpoints(Simulator* simulator, u64 instructions,

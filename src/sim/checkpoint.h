@@ -20,6 +20,10 @@
 
 #include "sim/simulator.h"
 
+namespace reese {
+class FlagParser;
+}  // namespace reese
+
 namespace reese::sim {
 
 /// Bumped whenever the snapshot payload layout changes; readers reject
@@ -52,17 +56,12 @@ struct CheckpointOptions {
   bool resume = false;  ///< pick up existing snapshots/done records in dir
 };
 
-/// Process-wide default installed by parse_checkpoint_flags() and read by
-/// run_experiment/run_campaign when their spec leaves checkpointing unset
-/// (same pattern as set_default_jobs).
-void set_default_checkpoint(const CheckpointOptions& options);
-const CheckpointOptions& default_checkpoint();
-
-/// Scan argv for "--checkpoint-dir PATH", "--checkpoint-interval N" and
-/// "--resume-from PATH" ("--flag=value" also accepted) and install the
-/// result via set_default_checkpoint. --resume-from implies the directory
-/// and resume=true. Unrelated arguments are left for the caller.
-void parse_checkpoint_flags(int argc, char** argv);
+/// Register the grid-runner flags that the figure benches and
+/// fault_coverage share: --jobs N, --checkpoint-dir D,
+/// --checkpoint-interval N and --resume-from D (the directory plus
+/// resume = true). The values land in the caller's spec fields.
+void add_grid_flags(FlagParser* flags, u32* jobs,
+                    CheckpointOptions* checkpoint);
 
 /// Resumable Simulator::run. When `resume` and `path` exists, restores it
 /// first (a load failure sets `*error` and returns a zeroed result — the

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 
 #include "common/diag.h"
@@ -226,8 +225,6 @@ void maybe_write_csv(const ExperimentResult& result) {
   std::fclose(file);
 }
 
-u32 g_default_jobs = 0;
-
 // One finished grid cell persisted as a ".done" record so a resumed grid
 // skips the cell outright. The record is bound to the budget and workload
 // seed: a record from a differently-shaped run is ignored (the cell simply
@@ -269,37 +266,11 @@ bool load_cell_record(const std::string& path, u64 instructions, u64 seed,
 
 }  // namespace
 
-void set_default_jobs(u32 jobs) { g_default_jobs = jobs; }
-
-u32 default_jobs() { return g_default_jobs; }
-
-void parse_jobs_flag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-jobs") == 0) {
-      if (i + 1 < argc) value = argv[i + 1];
-    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      value = arg + 7;
-    }
-    if (value == nullptr) continue;
-    // sanitize_job_count turns 0/negative/absurd requests into 0 (auto =
-    // hardware concurrency) with a warning instead of silently ignoring
-    // them — the old behaviour made "--jobs 0" keep whatever default was
-    // installed earlier.
-    set_default_jobs(sanitize_job_count(std::strtol(value, nullptr, 10)));
-  }
-}
-
 ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
   ExperimentSpec spec = spec_in;
   if (spec.models.empty()) spec.models = standard_models();
   if (spec.workloads.empty()) spec.workloads = workloads::spec_like_names();
   if (spec.instructions == 0) spec.instructions = default_instruction_budget();
-  if (spec.checkpoint.dir.empty() && spec.checkpoint.interval == 0 &&
-      !spec.checkpoint.resume) {
-    spec.checkpoint = default_checkpoint();
-  }
   if (!spec.checkpoint.dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(spec.checkpoint.dir, ec);
@@ -456,8 +427,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
     account_cell(sim_result.committed);
   };
 
-  const u32 workers = resolve_job_count(
-      spec.jobs != 0 ? spec.jobs : g_default_jobs);
+  const u32 workers = resolve_job_count(spec.jobs);
   if (workers <= 1 || jobs.size() <= 1) {
     // Reference path: plain sequential loop on the calling thread.
     for (usize i = 0; i < jobs.size(); ++i) run_cell(i);

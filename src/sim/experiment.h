@@ -57,8 +57,7 @@ struct ExperimentSpec {
   /// once per seed (including `seed`) and the matrix holds the mean, with
   /// the sample standard deviation in ExperimentResult::ipc_stdev.
   std::vector<u64> extra_seeds;
-  /// Worker threads for the grid. 0 = auto: the process-wide default from
-  /// set_default_jobs()/--jobs, else $REESE_JOBS, else hardware
+  /// Worker threads for the grid. 0 = auto: $REESE_JOBS, else hardware
   /// concurrency. 1 = run every cell inline on the calling thread.
   u32 jobs = 0;
   /// Optional cooperative cancellation, polled once per grid cell before
@@ -82,9 +81,8 @@ struct ExperimentSpec {
   /// long cells snapshot mid-run every `interval` committed instructions;
   /// with `resume`, done cells are skipped and partial cells restored, so
   /// a killed grid continues bit-identically (the interval is part of the
-  /// result's identity — see sim/checkpoint.h). Left default, the
-  /// process-wide default_checkpoint() from --checkpoint-interval /
-  /// --resume-from applies.
+  /// result's identity — see sim/checkpoint.h). Left default, nothing is
+  /// checkpointed.
   CheckpointOptions checkpoint;
 };
 
@@ -140,15 +138,5 @@ struct ExperimentResult {
 /// REESE_CSV_DIR names a directory, the result is also written there as
 /// "<slugified title>.csv".
 ExperimentResult run_experiment(const ExperimentSpec& spec);
-
-/// Process-wide default worker count used when ExperimentSpec::jobs == 0;
-/// 0 restores auto ($REESE_JOBS, else hardware concurrency).
-void set_default_jobs(u32 jobs);
-u32 default_jobs();
-
-/// Scan a bench binary's argv for "--jobs N" / "--jobs=N" / "-jobs N" and
-/// install the value via set_default_jobs. Unrelated arguments are left
-/// for the caller.
-void parse_jobs_flag(int argc, char** argv);
 
 }  // namespace reese::sim

@@ -107,8 +107,7 @@ PerfReport run_perf(const PerfOptions& options_in) {
   report.grid_seq_seconds = seconds_since(start);
 
   grid.jobs = options.jobs;
-  report.grid_jobs = resolve_job_count(options.jobs != 0 ? options.jobs
-                                                         : default_jobs());
+  report.grid_jobs = resolve_job_count(options.jobs);
   start = Clock::now();
   const ExperimentResult par = run_experiment(grid);
   report.grid_par_seconds = seconds_since(start);

@@ -1,8 +1,9 @@
 #include "sim/simulator.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
+
+#include "common/flags.h"
 
 namespace reese::sim {
 
@@ -23,9 +24,8 @@ SimResult Simulator::run(u64 instructions) {
 }
 
 Cycle default_cycle_limit(u64 instructions) {
-  if (const char* env = std::getenv("REESE_SIM_CYCLE_LIMIT")) {
-    const long long value = std::atoll(env);
-    if (value > 0) return static_cast<Cycle>(value);
+  if (const u64 limit = env_positive("REESE_SIM_CYCLE_LIMIT", 0)) {
+    return static_cast<Cycle>(limit);
   }
   constexpr Cycle kMaxCycle = std::numeric_limits<Cycle>::max();
   if (instructions > kMaxCycle / 64) {
@@ -40,14 +40,10 @@ Cycle default_cycle_limit(u64 instructions) {
 }
 
 u64 default_instruction_budget() {
-  if (const char* env = std::getenv("REESE_SIM_INSTR")) {
-    const long long value = std::atoll(env);
-    if (value > 0) return static_cast<u64>(value);
-  }
   // Smallest budget at which the figures' per-model overhead converges:
   // at 1M every bar of fig2 is within 0.3pp of a 10M reference run, while
   // 300k is off by up to 0.5pp (see EXPERIMENTS.md).
-  return 1'000'000;
+  return env_positive("REESE_SIM_INSTR", 1'000'000);
 }
 
 }  // namespace reese::sim

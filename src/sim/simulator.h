@@ -37,15 +37,17 @@ class Simulator {
   std::unique_ptr<core::Pipeline> pipeline_;
 };
 
-/// Instruction budget for figure reproduction: $REESE_SIM_INSTR if set,
+/// Instruction budget for figure reproduction: $REESE_SIM_INSTR if set
+/// (a value that is not a positive integer warns and is ignored),
 /// otherwise 1M — the smallest budget at which the figures' per-model
 /// overhead is converged (within 0.3pp of a 10M reference; see
 /// EXPERIMENTS.md). The paper ran 100M on real SPEC binaries; the
 /// `overnight` target reproduces that scale.
 u64 default_instruction_budget();
 
-/// Deadlock guard for Simulator::run: $REESE_SIM_CYCLE_LIMIT if set and
-/// positive (an absolute cycle count), otherwise 64x the instruction
+/// Deadlock guard for Simulator::run: $REESE_SIM_CYCLE_LIMIT if set (an
+/// absolute cycle count; a value that is not a positive integer warns and
+/// is ignored), otherwise 64x the instruction
 /// budget — generous slack over the worst credible CPI.
 Cycle default_cycle_limit(u64 instructions);
 

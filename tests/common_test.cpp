@@ -4,9 +4,12 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/bitutil.h"
 #include "common/error.h"
@@ -365,75 +368,261 @@ TEST(StrUtil, ToLower) {
 
 // --- flags -----------------------------------------------------------------------
 
+// One binary's worth of flags covering every destination type. state()
+// renders every destination plus the positionals as " key=value" tokens.
+struct FlagFixture {
+  bool verbose = false;
+  bool reese = false;
+  u32 ruu = 16;
+  u64 seed = 0;
+  i64 offset = 0;
+  double rate = 0.0;
+  std::string name;
+  std::string resume;
+  bool resumed = false;
+  std::vector<std::string> workers;
+  FlagParser parser;
+
+  FlagFixture() {
+    parser.add("-verbose", &verbose);
+    parser.add("-reese", &reese);
+    parser.add("-ruu", &ruu);
+    parser.add("--seed", &seed);
+    parser.add("-offset", &offset);
+    parser.add("-rate", &rate);
+    parser.add("-name", &name);
+    parser.add("--resume-from", &resume, &resumed);
+    parser.add("--worker", &workers);
+    parser.accept_operands();
+  }
+
+  std::string state() const {
+    std::string out = format(
+        " verbose=%d reese=%d ruu=%u seed=%llu offset=%lld rate=%g name=%s"
+        " resume=%s resumed=%d workers=",
+        verbose, reese, ruu, static_cast<unsigned long long>(seed),
+        static_cast<long long>(offset), rate, name.c_str(), resume.c_str(),
+        resumed);
+    for (const std::string& worker : workers) out += worker + ",";
+    out += " pos=";
+    for (const std::string& arg : parser.positional()) out += arg + ",";
+    return out + " ";
+  }
+};
+
+// A command line (without the program name) and what it must produce:
+// `ok` cases list " key=value" tokens that state() must contain, error
+// cases a substring of the error message.
+struct FlagCase {
+  std::vector<const char*> args;
+  bool ok;
+  std::string expect;
+};
+
+void check_flag_cases(const std::vector<FlagCase>& cases) {
+  for (const FlagCase& c : cases) {
+    std::vector<const char*> argv = {"prog"};
+    argv.insert(argv.end(), c.args.begin(), c.args.end());
+    std::string line;
+    for (const char* arg : c.args) line += std::string(arg) + " ";
+    SCOPED_TRACE("argv: " + line);
+
+    FlagFixture fixture;
+    const Result<bool> parsed =
+        fixture.parser.parse(static_cast<int>(argv.size()), argv.data());
+    if (!c.ok) {
+      ASSERT_FALSE(parsed.ok()) << fixture.state();
+      EXPECT_NE(parsed.error().message.find(c.expect), std::string::npos)
+          << parsed.error().message;
+      continue;
+    }
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    const std::string state = fixture.state();
+    for (std::string_view token : split_whitespace(c.expect)) {
+      EXPECT_NE(state.find(" " + std::string(token) + " "), std::string::npos)
+          << "missing " << token << " in" << state;
+    }
+  }
+}
+
 TEST(Flags, ParseSpaceSeparated) {
-  const char* argv[] = {"prog", "-ruu", "32", "-name", "li"};
-  FlagSet flags;
-  ASSERT_TRUE(flags.parse(5, argv).ok());
-  EXPECT_EQ(flags.get_i64("ruu", 0), 32);
-  EXPECT_EQ(flags.get_string("name", ""), "li");
-  EXPECT_FALSE(flags.has("missing"));
-  EXPECT_EQ(flags.get_i64("missing", 7), 7);
+  check_flag_cases({
+      {{"-ruu", "32", "-name", "li"}, true, "ruu=32 name=li"},
+      // Both prefixes work for every flag, whichever one it is documented
+      // with; unset flags keep their defaults.
+      {{"--ruu", "8", "-seed", "7"}, true, "ruu=8 seed=7 rate=0 name="},
+      {{}, true, "verbose=0 ruu=16 seed=0 pos="},
+  });
 }
 
 TEST(Flags, ParseColonAndEquals) {
-  const char* argv[] = {"prog", "-ruu:64", "--lsq=16"};
-  FlagSet flags;
-  ASSERT_TRUE(flags.parse(3, argv).ok());
-  EXPECT_EQ(flags.get_i64("ruu", 0), 64);
-  EXPECT_EQ(flags.get_i64("lsq", 0), 16);
+  check_flag_cases({
+      {{"-ruu=64", "--name=li"}, true, "ruu=64 name=li"},
+      {{"--seed=0x10", "-name=a=b"}, true, "seed=16 name=a=b"},
+      {{"-name="}, true, "name="},
+      // The SimpleScalar "-name:value" form is gone.
+      {{"-ruu:64"}, false, "unknown flag -ruu:64"},
+  });
 }
 
 TEST(Flags, BareFlagIsTrue) {
-  const char* argv[] = {"prog", "-verbose"};
-  FlagSet flags;
-  ASSERT_TRUE(flags.parse(2, argv).ok());
-  EXPECT_TRUE(flags.get_bool("verbose", false));
+  check_flag_cases({
+      {{"-verbose"}, true, "verbose=1"},
+      {{"--verbose", "-reese"}, true, "verbose=1 reese=1"},
+  });
 }
 
 TEST(Flags, BoolValues) {
-  const char* argv[] = {"prog", "-a", "true", "-b", "0", "-c", "on"};
-  FlagSet flags;
-  ASSERT_TRUE(flags.parse(7, argv).ok());
-  EXPECT_TRUE(flags.get_bool("a", false));
-  EXPECT_FALSE(flags.get_bool("b", true));
-  EXPECT_TRUE(flags.get_bool("c", false));
+  check_flag_cases({
+      {{"-verbose", "true", "-reese", "0"}, true, "verbose=1 reese=0"},
+      {{"-verbose", "on", "-reese", "YES"}, true, "verbose=1 reese=1"},
+      {{"-verbose=off", "--reese=1"}, true, "verbose=0 reese=1"},
+      {{"-verbose=maybe"}, false, "flag -verbose: 'maybe' is not a bool"},
+  });
 }
 
 TEST(Flags, Positional) {
-  const char* argv[] = {"prog", "file.s", "-x", "1", "other"};
-  FlagSet flags;
-  ASSERT_TRUE(flags.parse(5, argv).ok());
-  ASSERT_EQ(flags.positional().size(), 2u);
-  EXPECT_EQ(flags.positional()[0], "file.s");
-  EXPECT_EQ(flags.positional()[1], "other");
+  check_flag_cases({
+      {{"file.s", "-ruu", "1", "other"}, true, "ruu=1 pos=file.s,other,"},
+      // A bool flag takes the next token only when it is a bool literal.
+      {{"-reese", "1", "fib.s"}, true, "reese=1 pos=fib.s,"},
+      {{"--verbose", "prog.srv"}, true, "verbose=1 pos=prog.srv,"},
+      {{"-verbose", "2"}, true, "verbose=1 pos=2,"},
+      // A lone dash is an operand (stdin).
+      {{"submit", "-"}, true, "pos=submit,-,"},
+  });
 }
 
 TEST(Flags, ParseFileMergesWithCommandLinePriority) {
-  const char* path = "/tmp/reese_flags_test.cfg";
-  FILE* f = fopen(path, "w");
+  const std::string path = testing::TempDir() + "/reese_flags_test.cfg";
+  FILE* f = fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
-  fputs("# comment line\n-ruu 64   -lsq 32\n-workload li # trailing\n", f);
+  fputs("# comment line\n-ruu 64   -rate 0.5\n-name li # trailing\n"
+        "--worker file:1 extra.s\n",
+        f);
   fclose(f);
 
-  const char* argv[] = {"prog", "-ruu", "16"};
-  FlagSet flags;
-  ASSERT_TRUE(flags.parse(3, argv).ok());
-  ASSERT_TRUE(flags.parse_file(path).ok());
-  EXPECT_EQ(flags.get_i64("ruu", 0), 16) << "command line must win";
-  EXPECT_EQ(flags.get_i64("lsq", 0), 32);
-  EXPECT_EQ(flags.get_string("workload", ""), "li");
+  FlagFixture fixture;
+  const char* argv[] = {"prog", "-ruu", "16", "--worker", "cli:1"};
+  ASSERT_TRUE(fixture.parser.parse(5, argv).ok());
+  ASSERT_TRUE(fixture.parser.parse_file(path).ok());
+  EXPECT_EQ(fixture.ruu, 16u) << "command line must win";
+  EXPECT_DOUBLE_EQ(fixture.rate, 0.5);
+  EXPECT_EQ(fixture.name, "li");
+  EXPECT_EQ(fixture.workers, std::vector<std::string>{"cli:1"});
+  EXPECT_EQ(fixture.parser.positional(), std::vector<std::string>{"extra.s"});
+
+  f = fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  fputs("-ruu 64 -bogus 1\n", f);
+  fclose(f);
+  FlagFixture bad;
+  const Result<bool> parsed = bad.parser.parse_file(path);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.error().message.find(path + ": unknown flag -bogus"),
+            std::string::npos)
+      << parsed.error().message;
 }
 
 TEST(Flags, ParseFileMissing) {
-  FlagSet flags;
-  EXPECT_FALSE(flags.parse_file("/nonexistent/definitely.cfg").ok());
+  FlagFixture fixture;
+  EXPECT_FALSE(fixture.parser.parse_file("/nonexistent/definitely.cfg").ok());
 }
 
 TEST(Flags, DoubleParsing) {
-  const char* argv[] = {"prog", "-rate", "0.25"};
-  FlagSet flags;
-  ASSERT_TRUE(flags.parse(3, argv).ok());
-  EXPECT_DOUBLE_EQ(flags.get_double("rate", 0.0), 0.25);
+  check_flag_cases({
+      {{"-rate", "0.25"}, true, "rate=0.25"},
+      {{"-rate", "1e-3"}, true, "rate=0.001"},
+      {{"-rate", "abc"}, false, "flag -rate: 'abc' is not a number"},
+      {{"-rate", "0.5x"}, false, "'0.5x' is not a number"},
+  });
+}
+
+TEST(Flags, UnknownFlagNamesItAndListsAcceptedNames) {
+  check_flag_cases({
+      {{"-instrs", "5"},
+       false,
+       "unknown flag -instrs; accepted: -verbose -reese -ruu --seed -offset "
+       "-rate -name --resume-from --worker"},
+      {{"--bogus=1"}, false, "unknown flag --bogus;"},
+  });
+}
+
+TEST(Flags, ValueFlagsAlwaysTakeTheNextToken) {
+  check_flag_cases({
+      {{"-offset", "-1"}, true, "offset=-1"},
+      {{"-name", "-ruu"}, true, "name=-ruu ruu=16"},
+      {{"-ruu"}, false, "flag -ruu needs a value"},
+      {{"-verbose", "-name"}, false, "flag -name needs a value"},
+  });
+}
+
+TEST(Flags, IntegersAreStrict) {
+  check_flag_cases({
+      {{"-ruu", "abc"}, false, "flag -ruu: 'abc' is not an integer"},
+      {{"-ruu", "3e5"}, false, "'3e5' is not an integer"},
+      {{"-ruu", "2x"}, false, "'2x' is not an integer"},
+      {{"-ruu", " 5"}, false, "' 5' is not an integer"},
+      {{"-ruu="}, false, "'' is not an integer"},
+      {{"-ruu", "-1"}, false, "flag -ruu: '-1' is negative"},
+      {{"-ruu", "4294967296"}, false, "'4294967296' is out of range"},
+      {{"--seed", "99999999999999999999"}, false, "is out of range"},
+      {{"-offset", "9223372036854775808"}, false, "is out of range"},
+      {{"-offset", "-0x10"}, true, "offset=-16"},
+  });
+}
+
+TEST(Flags, IntegersUseBaseZero) {
+  check_flag_cases({
+      {{"--seed", "0xDEADBEEFDEADBEEF"}, true, "seed=16045690984833335023"},
+      {{"--seed", "0XFA17C0DE"}, true, "seed=4195860702"},
+      {{"-ruu", "010"}, true, "ruu=8"},
+      {{"-ruu", "08"}, false, "'08' is not an integer"},
+  });
+}
+
+TEST(Flags, RepeatableFlagsAppendAndPresenceIsRecorded) {
+  check_flag_cases({
+      {{"--worker", "a:1", "-worker=b:2"}, true, "workers=a:1,b:2,"},
+      {{"--resume-from", "ck"}, true, "resume=ck resumed=1"},
+      {{"-name", "x"}, true, "resume= resumed=0"},
+  });
+}
+
+TEST(Flags, OperandsAreErrorsUnlessAccepted) {
+  u32 jobs = 0;
+  FlagParser parser;
+  parser.add("--jobs", &jobs);
+  const char* argv[] = {"fig", "2", "--jobs", "3"};
+  const Result<bool> parsed = parser.parse(4, argv);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.error().message, "unexpected argument '2'");
+  EXPECT_EQ(jobs, 3u);
+}
+
+TEST(Flags, EveryTokenIsParsedAndTheFirstErrorReported) {
+  FlagFixture fixture;
+  const char* argv[] = {"prog", "--bogus", "-ruu", "x", "-name", "kept"};
+  const Result<bool> parsed = fixture.parser.parse(6, argv);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.error().message.find("unknown flag --bogus"),
+            std::string::npos);
+  EXPECT_EQ(fixture.name, "kept");
+}
+
+TEST(Flags, EnvPositiveIsStrict) {
+  constexpr const char* kVar = "REESE_FLAGS_TEST_VALUE";
+  unsetenv(kVar);
+  EXPECT_EQ(env_positive(kVar, 7), 7u);
+  setenv(kVar, "12345", 1);
+  EXPECT_EQ(env_positive(kVar, 7), 12345u);
+  setenv(kVar, "0x10", 1);
+  EXPECT_EQ(env_positive(kVar, 7), 16u);
+  for (const char* bad : {"3e5", "2x", "0", "-5", " 8"}) {
+    setenv(kVar, bad, 1);
+    EXPECT_EQ(env_positive(kVar, 7), 7u) << bad;
+  }
+  unsetenv(kVar);
 }
 
 // --- error -----------------------------------------------------------------------
@@ -507,26 +696,21 @@ TEST(Wilson, IntervalContainsPointEstimate) {
   EXPECT_LT(ci.upper, 1.0);
 }
 
-// --jobs sanitization: out-of-range requests (the old code cast -3 to
-// ~4 billion and tried to spawn that many threads) fall back to auto (0 =
-// hardware concurrency) instead of being honored or silently ignored.
-TEST(Jobs, SanitizeAcceptsReasonableCounts) {
-  EXPECT_EQ(sanitize_job_count(1), 1u);
-  EXPECT_EQ(sanitize_job_count(7), 7u);
-  EXPECT_EQ(sanitize_job_count(static_cast<i64>(kMaxJobRequest)),
-            kMaxJobRequest);
-}
-
-TEST(Jobs, SanitizeRejectsZeroNegativeAndHuge) {
-  EXPECT_EQ(sanitize_job_count(0), 0u);
-  EXPECT_EQ(sanitize_job_count(-3), 0u);
-  EXPECT_EQ(sanitize_job_count(static_cast<i64>(kMaxJobRequest) + 1), 0u);
-  EXPECT_EQ(sanitize_job_count(1'000'000), 0u);
-}
-
 TEST(Jobs, ResolveNeverReturnsZeroWorkers) {
-  EXPECT_GE(resolve_job_count(0), 1u);
+  unsetenv("REESE_JOBS");
+  const u32 hardware = resolve_job_count(0);
+  EXPECT_GE(hardware, 1u);
   EXPECT_EQ(resolve_job_count(3), 3u);
+  // An absurd request (a negative count cast through u32) means auto.
+  EXPECT_EQ(resolve_job_count(kMaxJobRequest + 1), hardware);
+  setenv("REESE_JOBS", "3", 1);
+  EXPECT_EQ(resolve_job_count(0), 3u);
+  // Malformed or out-of-range $REESE_JOBS warns and means hardware.
+  for (const char* bad : {"2x", "0", "-3", "1025"}) {
+    setenv("REESE_JOBS", bad, 1);
+    EXPECT_EQ(resolve_job_count(0), hardware) << bad;
+  }
+  unsetenv("REESE_JOBS");
 }
 
 TEST(TaskQueue, RunsAdmittedTasksAndDrains) {

@@ -3,6 +3,7 @@
 
 #include <fstream>
 
+#include "common/flags.h"
 #include "isa/iss.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
@@ -165,7 +166,35 @@ TEST(Budget, EnvOverride) {
   EXPECT_EQ(default_instruction_budget(), 1'000'000u);
   setenv("REESE_SIM_INSTR", "12345", 1);
   EXPECT_EQ(default_instruction_budget(), 12'345u);
+  // Malformed values warn and keep the default instead of truncating.
+  setenv("REESE_SIM_INSTR", "3e5", 1);
+  EXPECT_EQ(default_instruction_budget(), 1'000'000u);
   unsetenv("REESE_SIM_INSTR");
+}
+
+TEST(GridFlags, FillTheSpecFieldsExplicitly) {
+  ExperimentSpec spec;
+  FlagParser flags;
+  add_grid_flags(&flags, &spec.jobs, &spec.checkpoint);
+  const char* argv[] = {"fig", "--jobs", "3", "--checkpoint-interval=500",
+                        "-resume-from", "ck"};
+  ASSERT_TRUE(flags.parse(6, argv).ok());
+  EXPECT_EQ(spec.jobs, 3u);
+  EXPECT_EQ(spec.checkpoint.interval, 500u);
+  EXPECT_EQ(spec.checkpoint.dir, "ck");
+  EXPECT_TRUE(spec.checkpoint.resume);
+
+  ExperimentSpec plain;
+  FlagParser plain_flags;
+  add_grid_flags(&plain_flags, &plain.jobs, &plain.checkpoint);
+  const char* plain_argv[] = {"fig", "--checkpoint-dir", "ck"};
+  ASSERT_TRUE(plain_flags.parse(3, plain_argv).ok());
+  EXPECT_EQ(plain.checkpoint.dir, "ck");
+  EXPECT_FALSE(plain.checkpoint.resume);
+  EXPECT_EQ(plain.jobs, 0u) << "unset --jobs stays auto";
+
+  const char* bad_argv[] = {"fig", "--jobs", "-2"};
+  EXPECT_FALSE(plain_flags.parse(3, bad_argv).ok());
 }
 
 }  // namespace

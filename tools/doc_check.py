@@ -3,10 +3,13 @@
 
 Three checks, all gating in CI (.github/workflows/ci.yml "docs" job):
 
-1. Flag coverage — every `--flag` string literal that a binary under
-   bench/ or tools/ actually parses must be mentioned in README.md or
+1. Flag coverage — every flag registered with the command-line parser
+   (common/flags.h) under bench/, tools/, examples/ or src/ must be
+   mentioned, spelled as registered ("--jobs", "-ruu"), in README.md or
    EXPERIMENTS.md. Removing a flag's documentation (or documenting a flag
-   that was renamed in code only) fails the build.
+   that was renamed in code only) fails the build, and so does finding
+   fewer than MIN_FLAGS flags: a collector that stops matching the
+   registrations must not pass with nothing to check.
 
 2. Schema coverage — every report schema literal ("reese-*-vN") a bench
    emits must be mentioned in README.md or EXPERIMENTS.md, so a new or
@@ -24,9 +27,17 @@ import re
 import sys
 
 
-# A flag "counts" when the source compares or documents it as an argument:
-# string literals like "--jobs" / "--jobs=..." in bench/*.cpp, tools/*.cpp.
-FLAG_LITERAL = re.compile(r'"(--[a-z][a-z0-9-]*)=?"')
+# A flag "counts" when a binary registers it with the parser:
+# flags.add("--jobs", ...) or flags->add("-ruu", ...).
+FLAG_REGISTRATION = re.compile(r'(?:\.|->)add\(\s*"(--?[a-z][a-z0-9_-]*)"')
+
+# Every flag of every binary, as registered when this floor was last
+# raised; a count below it means the collector lost track of the sources.
+MIN_FLAGS = 74
+
+# Directories holding binaries (or, under src/, shared helpers such as
+# sim::add_grid_flags) that register flags.
+FLAG_SOURCE_DIRS = ("bench", "tools", "examples", "src")
 
 # A report schema "counts" when a bench emits it as a JSON string literal,
 # e.g. \"schema\": \"reese-cavf-v1\" in bench/*.cpp.
@@ -40,21 +51,28 @@ NON_FILE_PREFIXES = ("http://", "https://", "mailto:", "#")
 
 
 def collect_flags(repo_root):
-    """Map flag -> sorted list of source files that parse it."""
+    """Map flag -> sorted list of source files that register it."""
     flags = {}
-    for subdir in ("bench", "tools"):
-        directory = os.path.join(repo_root, subdir)
-        if not os.path.isdir(directory):
-            continue
-        for name in sorted(os.listdir(directory)):
-            if not name.endswith(".cpp"):
-                continue
-            path = os.path.join(directory, name)
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-            for flag in FLAG_LITERAL.findall(text):
-                flags.setdefault(flag, set()).add(os.path.join(subdir, name))
+    for subdir in FLAG_SOURCE_DIRS:
+        for root, _dirs, names in sorted(os.walk(os.path.join(repo_root,
+                                                              subdir))):
+            for name in sorted(names):
+                if not name.endswith(".cpp"):
+                    continue
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as handle:
+                    text = handle.read()
+                for flag in FLAG_REGISTRATION.findall(text):
+                    flags.setdefault(flag, set()).add(
+                        os.path.relpath(path, repo_root))
     return {flag: sorted(sources) for flag, sources in flags.items()}
+
+
+def is_documented(flag, documented):
+    """The flag as a whole word: "-instr" is not documented by
+    "--instructions", nor "--out" by "--out-dir"."""
+    pattern = r"(?<![\w-])" + re.escape(flag) + r"(?![\w-])"
+    return re.search(pattern, documented) is not None
 
 
 def collect_schemas(repo_root):
@@ -83,8 +101,14 @@ def check_flag_coverage(repo_root):
             documented += handle.read()
 
     errors = []
-    for flag, sources in sorted(collect_flags(repo_root).items()):
-        if flag not in documented:
+    flags = collect_flags(repo_root)
+    if len(flags) < MIN_FLAGS:
+        errors.append(
+            f"found {len(flags)} registered flags, fewer than MIN_FLAGS = "
+            f"{MIN_FLAGS}; the collector no longer matches how binaries "
+            f"register flags")
+    for flag, sources in sorted(flags.items()):
+        if not is_documented(flag, documented):
             errors.append(
                 f"flag {flag} (parsed by {', '.join(sources)}) is not "
                 f"documented in README.md or EXPERIMENTS.md")

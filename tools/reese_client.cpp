@@ -42,14 +42,15 @@
 // connect.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/flags.h"
 #include "common/http.h"
 #include "common/json.h"
 
@@ -57,8 +58,8 @@ using namespace reese;
 
 namespace {
 
-bool read_spec(const char* path, std::string* out) {
-  if (std::strcmp(path, "-") == 0) {
+bool read_spec(const std::string& path, std::string* out) {
+  if (path == "-") {
     std::ostringstream buffer;
     buffer << std::cin.rdbuf();
     *out = buffer.str();
@@ -66,7 +67,7 @@ bool read_spec(const char* path, std::string* out) {
   }
   std::ifstream in(path, std::ios::binary);
   if (!in) {
-    std::fprintf(stderr, "reese_client: cannot read %s\n", path);
+    std::fprintf(stderr, "reese_client: cannot read %s\n", path.c_str());
     return false;
   }
   std::ostringstream buffer;
@@ -103,36 +104,24 @@ void print_body(const http::Response& response) {
 int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
   int port = 8642;
+  std::vector<std::string> tokens;
+  int poll_ms = 50;
+  bool csv = false;
+  bool cells = false;
   http::RequestOptions options;
-
-  int i = 1;
-  for (; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "reese_client: %s needs a value\n", arg);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--host") == 0) {
-      host = next_value();
-    } else if (std::strcmp(arg, "--port") == 0) {
-      port = std::atoi(next_value());
-    } else if (std::strcmp(arg, "--token") == 0) {
-      options.headers.push_back(
-          {"Authorization", std::string("Bearer ") + next_value()});
-    } else if (std::strcmp(arg, "--retries") == 0) {
-      options.max_retries = std::atoi(next_value());
-      if (options.max_retries < 0) options.max_retries = 0;
-    } else if (std::strcmp(arg, "--retry-backoff-ms") == 0) {
-      options.backoff_ms = std::atof(next_value());
-      if (options.backoff_ms < 1.0) options.backoff_ms = 1.0;
-    } else {
-      break;  // first non-flag argument is the command
-    }
-  }
-  if (i >= argc || port < 1 || port > 65535) {
+  FlagParser flags;
+  flags.add("--host", &host);
+  flags.add("--port", &port);
+  flags.add("--token", &tokens);
+  flags.add("--retries", &options.max_retries);
+  flags.add("--retry-backoff-ms", &options.backoff_ms);
+  flags.add("--poll-ms", &poll_ms);
+  flags.add("--csv", &csv);
+  flags.add("--cells", &cells);
+  flags.accept_operands();
+  if (!flags.parse_or_report(argc, argv)) return 2;
+  const std::vector<std::string>& args = flags.positional();
+  if (args.empty() || port < 1 || port > 65535) {
     std::fprintf(stderr,
                  "usage: reese_client [--host ADDR] [--port N] [--token TOK] "
                  "[--retries N] [--retry-backoff-ms MS] "
@@ -140,7 +129,13 @@ int main(int argc, char** argv) {
                  "submit-campaign|status|progress|wait|result ...\n");
     return 2;
   }
-  const std::string command = argv[i++];
+  for (const std::string& token : tokens) {
+    options.headers.push_back({"Authorization", "Bearer " + token});
+  }
+  options.max_retries = std::max(options.max_retries, 0);
+  options.backoff_ms = std::max(options.backoff_ms, 1.0);
+  poll_ms = std::max(poll_ms, 1);
+  const std::string& command = args[0];
   const u16 port16 = static_cast<u16>(port);
 
   if (command == "health" || command == "stats" || command == "metrics" ||
@@ -158,13 +153,13 @@ int main(int argc, char** argv) {
   }
 
   if (command == "submit-experiment" || command == "submit-campaign") {
-    if (i >= argc) {
+    if (args.size() < 2) {
       std::fprintf(stderr, "reese_client: %s needs a spec file (or -)\n",
                    command.c_str());
       return 2;
     }
     std::string spec;
-    if (!read_spec(argv[i], &spec)) return 1;
+    if (!read_spec(args[1], &spec)) return 1;
     const std::string path = command == "submit-experiment"
                                  ? "/v1/experiments"
                                  : "/v1/campaigns";
@@ -183,12 +178,12 @@ int main(int argc, char** argv) {
 
   if (command == "status" || command == "progress" || command == "wait" ||
       command == "result") {
-    if (i >= argc) {
+    if (args.size() < 2) {
       std::fprintf(stderr, "reese_client: %s needs a job id\n",
                    command.c_str());
       return 2;
     }
-    const std::string id = argv[i++];
+    const std::string& id = args[1];
 
     if (command == "status" || command == "progress") {
       const std::string path = "/v1/jobs/" + id +
@@ -201,15 +196,6 @@ int main(int argc, char** argv) {
     }
 
     if (command == "wait") {
-      int poll_ms = 50;
-      if (i < argc && std::strcmp(argv[i], "--poll-ms") == 0) {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "reese_client: --poll-ms needs a value\n");
-          return 2;
-        }
-        poll_ms = std::atoi(argv[i + 1]);
-        if (poll_ms < 1) poll_ms = 1;
-      }
       for (;;) {
         const http::Response response =
             http::request(host, port16, "GET", "/v1/jobs/" + id, "", options);
@@ -232,9 +218,9 @@ int main(int argc, char** argv) {
 
     // result
     std::string path = "/v1/jobs/" + id + "/result";
-    if (i < argc && std::strcmp(argv[i], "--csv") == 0) {
+    if (csv) {
       path += "?format=csv";
-    } else if (i < argc && std::strcmp(argv[i], "--cells") == 0) {
+    } else if (cells) {
       path += "?format=cells";
     }
     const http::Response response =

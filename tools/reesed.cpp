@@ -70,12 +70,13 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <string>
+#include <vector>
 
+#include "common/flags.h"
 #include "common/http.h"
 #include "common/log.h"
 #include "common/strutil.h"
-#include "common/thread_pool.h"
 #include "sim/fleet.h"
 #include "sim/service.h"
 
@@ -99,100 +100,71 @@ void handle_signal(int) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The log sink and level apply before any other flag is parsed, so a
-  // bad --worker on the same command line already lands in the right
-  // place (a pre-scan: flag order must not matter).
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--log-file") == 0) {
-      if (!log::global().open_file(argv[i + 1])) {
-        // open_file leaves the sink on stderr, so this event is visible.
-        config_error(format("cannot open log file %s", argv[i + 1]));
-      }
-    } else if (std::strcmp(argv[i], "--log-level") == 0) {
-      log::Level level;
-      if (!log::level_from_name(argv[i + 1], &level)) {
-        config_error(format("--log-level must be debug, info, warn or "
-                            "error, got %s",
-                            argv[i + 1]));
-      }
-      log::global().set_level(level);
-    }
-  }
-
   std::string host = "127.0.0.1";
   int port = 8642;
+  std::string log_file;
+  std::string log_level;
   sim::ServiceConfig config;
   sim::fleet::FleetConfig fleet;
   bool coordinator = false;
+  std::vector<std::string> worker_addresses;
+  std::vector<std::string> workers_files;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        config_error(format("%s needs a value", arg));
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(arg, "--host") == 0) {
-      host = next_value();
-    } else if (std::strcmp(arg, "--port") == 0) {
-      port = std::atoi(next_value());
-    } else if (std::strcmp(arg, "--workers") == 0) {
-      config.workers = sanitize_job_count(
-          std::strtol(next_value(), nullptr, 10), "--workers");
-    } else if (std::strcmp(arg, "--queue-capacity") == 0) {
-      config.queue_capacity =
-          static_cast<u32>(std::strtoul(next_value(), nullptr, 10));
-    } else if (std::strcmp(arg, "--grid-jobs") == 0) {
-      config.grid_jobs = sanitize_job_count(
-          std::strtol(next_value(), nullptr, 10), "--grid-jobs");
-    } else if (std::strcmp(arg, "--max-instructions") == 0) {
-      config.max_instructions =
-          static_cast<u64>(std::strtoull(next_value(), nullptr, 10));
-    } else if (std::strcmp(arg, "--max-cells") == 0) {
-      config.max_cells =
-          static_cast<u64>(std::strtoull(next_value(), nullptr, 10));
-    } else if (std::strcmp(arg, "--timeout-s") == 0) {
-      config.default_timeout_s = std::atof(next_value());
-    } else if (std::strcmp(arg, "--auth-token") == 0) {
-      config.auth_tokens.push_back(next_value());
-    } else if (std::strcmp(arg, "--tenant-max-active") == 0) {
-      config.tenant_max_active =
-          static_cast<u32>(std::strtoul(next_value(), nullptr, 10));
-    } else if (std::strcmp(arg, "--retain-jobs") == 0) {
-      config.max_retained_jobs =
-          static_cast<usize>(std::strtoull(next_value(), nullptr, 10));
-    } else if (std::strcmp(arg, "--log-file") == 0 ||
-               std::strcmp(arg, "--log-level") == 0) {
-      next_value();  // applied by the pre-scan above
-    } else if (std::strcmp(arg, "--coordinator") == 0) {
-      coordinator = true;
-    } else if (std::strcmp(arg, "--worker") == 0) {
-      sim::fleet::Worker worker;
-      std::string error;
-      if (!sim::fleet::parse_worker_address(next_value(), &worker, &error)) {
-        config_error(error);
-      }
-      fleet.workers.push_back(std::move(worker));
-    } else if (std::strcmp(arg, "--workers-file") == 0) {
-      std::string error;
-      if (!sim::fleet::load_workers_file(next_value(), &fleet.workers,
-                                         &error)) {
-        config_error(error);
-      }
-    } else if (std::strcmp(arg, "--fleet-token") == 0) {
-      fleet.auth_token = next_value();
-    } else if (std::strcmp(arg, "--shards-per-worker") == 0) {
-      const long value = std::strtol(next_value(), nullptr, 10);
-      if (value < 1) {
-        config_error("--shards-per-worker must be >= 1");
-      }
-      fleet.shards_per_worker = static_cast<u32>(value);
-    } else if (std::strcmp(arg, "--fleet-trace-out") == 0) {
-      fleet.trace_path = next_value();
-    } else {
-      config_error(format("unknown argument %s", arg));
+  FlagParser flags;
+  flags.add("--host", &host);
+  flags.add("--port", &port);
+  flags.add("--workers", &config.workers);
+  flags.add("--queue-capacity", &config.queue_capacity);
+  flags.add("--grid-jobs", &config.grid_jobs);
+  flags.add("--max-instructions", &config.max_instructions);
+  flags.add("--max-cells", &config.max_cells);
+  flags.add("--timeout-s", &config.default_timeout_s);
+  flags.add("--auth-token", &config.auth_tokens);
+  flags.add("--tenant-max-active", &config.tenant_max_active);
+  flags.add("--retain-jobs", &config.max_retained_jobs);
+  flags.add("--log-file", &log_file);
+  flags.add("--log-level", &log_level);
+  flags.add("--coordinator", &coordinator);
+  flags.add("--worker", &worker_addresses);
+  flags.add("--workers-file", &workers_files);
+  flags.add("--fleet-token", &fleet.auth_token);
+  flags.add("--shards-per-worker", &fleet.shards_per_worker);
+  flags.add("--fleet-trace-out", &fleet.trace_path);
+  const Result<bool> parsed = flags.parse(argc, argv);
+
+  // The log sink and level apply before anything is validated, so every
+  // config error below lands in the right place whatever the flag order.
+  if (!log_file.empty() && !log::global().open_file(log_file)) {
+    // open_file leaves the sink on stderr, so this event is visible.
+    config_error(format("cannot open log file %s", log_file.c_str()));
+  }
+  if (!log_level.empty()) {
+    log::Level level;
+    if (!log::level_from_name(log_level, &level)) {
+      config_error(format("--log-level must be debug, info, warn or "
+                          "error, got %s",
+                          log_level.c_str()));
     }
+    log::global().set_level(level);
+  }
+  if (!parsed.ok()) config_error(parsed.error().message);
+
+  for (const std::string& address : worker_addresses) {
+    sim::fleet::Worker worker;
+    std::string error;
+    if (!sim::fleet::parse_worker_address(address, &worker, &error)) {
+      config_error(error);
+    }
+    fleet.workers.push_back(std::move(worker));
+  }
+  for (const std::string& path : workers_files) {
+    std::string error;
+    if (!sim::fleet::load_workers_file(path, &fleet.workers, &error)) {
+      config_error(error);
+    }
+  }
+  if (fleet.shards_per_worker < 1) {
+    config_error("--shards-per-worker must be >= 1");
   }
   if (port < 0 || port > 65535) {
     config_error(format("--port %d is not in [0, 65535]", port));

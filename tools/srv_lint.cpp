@@ -84,28 +84,23 @@ bool lint_file(const std::string& path, const analysis::LintOptions& options,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // FlagSet's SimpleScalar-style "-name value" form would swallow the file
-  // operand after a bare boolean flag ("--vuln prog.srv" parses as
-  // vuln=prog.srv with no positionals), so expand the known valueless flags
-  // to their "=true" form before parsing.
-  std::vector<std::string> arg_storage(argv, argv + argc);
-  for (std::string& arg : arg_storage) {
-    if (arg == "--vuln" || arg == "-vuln" || arg == "--werror" ||
-        arg == "-werror" || arg == "--list-passes" || arg == "-list-passes") {
-      arg += "=true";
-    }
-  }
-  std::vector<const char*> arg_ptrs;
-  arg_ptrs.reserve(arg_storage.size());
-  for (const std::string& arg : arg_storage) arg_ptrs.push_back(arg.c_str());
+  std::string format_name = "text";
+  std::string min_severity;
+  std::string pass_list;
+  bool werror = false;
+  bool list_passes = false;
+  bool vuln = false;
+  FlagParser flags;
+  flags.add("--format", &format_name);
+  flags.add("--pass", &pass_list);
+  flags.add("--min-severity", &min_severity);
+  flags.add("--werror", &werror);
+  flags.add("--list-passes", &list_passes);
+  flags.add("--vuln", &vuln);
+  flags.accept_operands();
+  if (!flags.parse_or_report(argc, argv)) return usage();
 
-  FlagSet flags;
-  if (auto parsed = flags.parse(argc, arg_ptrs.data()); !parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.error().to_string().c_str());
-    return usage();
-  }
-
-  if (flags.get_bool("list-passes", false)) {
+  if (list_passes) {
     std::printf("registered passes:\n");
     for (const analysis::PassInfo& pass : analysis::all_passes()) {
       std::printf("  %-16.*s %.*s\n", static_cast<int>(pass.name.size()),
@@ -116,19 +111,17 @@ int main(int argc, char** argv) {
   }
   if (flags.positional().empty()) return usage();
 
-  const std::string format_name = flags.get_string("format", "text");
   if (format_name != "text" && format_name != "json") return usage();
   const DiagFormat format =
       format_name == "json" ? DiagFormat::kJson : DiagFormat::kText;
 
   analysis::LintOptions options;
-  if (flags.has("min-severity") &&
-      !parse_severity(flags.get_string("min-severity", ""),
-                      &options.min_severity)) {
+  if (!min_severity.empty() &&
+      !parse_severity(min_severity, &options.min_severity)) {
     return usage();
   }
-  if (flags.has("pass")) {
-    for (std::string_view name : split(flags.get_string("pass", ""), ',')) {
+  if (!pass_list.empty()) {
+    for (std::string_view name : split(pass_list, ',')) {
       if (!analysis::find_pass(name)) {
         std::fprintf(stderr, "srv-lint: unknown pass '%.*s' (--list-passes)\n",
                      static_cast<int>(name.size()), name.data());
@@ -138,7 +131,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (flags.get_bool("vuln", false)) {
+  if (vuln) {
     // Vulnerability mode: same front end, srv-vuln analysis instead of the
     // lint registry (see tools/srv_vuln.cpp for the dedicated CLI).
     bool failed = false;
@@ -184,6 +177,6 @@ int main(int argc, char** argv) {
   }
   if (io_error) return 2;
   if (errors > 0) return 1;
-  if (warnings > 0 && flags.get_bool("werror", false)) return 1;
+  if (warnings > 0 && werror) return 1;
   return 0;
 }

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "analysis/vuln.h"
 #include "common/flags.h"
@@ -35,17 +36,15 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  FlagSet flags;
-  if (auto parsed = flags.parse(argc, argv); !parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.error().to_string().c_str());
-    return usage();
-  }
+  std::string format = "text";
+  usize top = 0;
+  FlagParser flags;
+  flags.add("--format", &format);
+  flags.add("--top", &top);
+  flags.accept_operands();
+  if (!flags.parse_or_report(argc, argv)) return usage();
   if (flags.positional().empty()) return usage();
-
-  const std::string format = flags.get_string("format", "text");
   if (format != "text" && format != "json") return usage();
-  const i64 top = flags.get_i64("top", 0);
-  if (top < 0) return usage();
 
   bool failed = false;
   for (const std::string& path : flags.positional()) {
@@ -69,7 +68,7 @@ int main(int argc, char** argv) {
         analysis::analyze_vulnerability(assembled.value());
     const std::string rendered =
         format == "json" ? report.json(path)
-                         : report.table(path, static_cast<usize>(top));
+                         : report.table(path, top);
     std::fputs(rendered.c_str(), stdout);
   }
   return failed ? 1 : 0;
