@@ -1,8 +1,8 @@
 // Minimal JSON document parser for the simulation service (reesed).
 //
 // The repo deliberately carries no third-party JSON dependency; reports are
-// emitted with printf-style builders (campaign.cpp, diag.cpp) and checked
-// with tests/json_checker.h. The service is the first component that must
+// emitted with printf-style builders (campaign.cpp, diag.cpp), and the tests
+// check them with this parser. The service is the first component that must
 // *read* JSON — request specs arrive over HTTP — so this adds the smallest
 // parser that covers RFC 8259 documents: objects, arrays, strings with the
 // standard escapes, numbers, true/false/null. Documents are parsed into a

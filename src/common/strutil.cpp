@@ -86,14 +86,16 @@ bool parse_int(std::string_view s, i64* out) {
       return false;
     }
     if (digit >= base) return false;
-    const u64 next = magnitude * static_cast<u64>(base) + static_cast<u64>(digit);
-    if (next < magnitude) return false;  // overflow
-    magnitude = next;
+    const u64 ubase = static_cast<u64>(base);
+    const u64 udigit = static_cast<u64>(digit);
+    if (magnitude > (UINT64_MAX - udigit) / ubase) return false;  // overflow
+    magnitude = magnitude * ubase + udigit;
   }
 
   if (negative) {
     if (magnitude > (u64{1} << 63)) return false;
-    *out = -static_cast<i64>(magnitude);
+    // Negate in unsigned arithmetic: -INT64_MIN is not representable.
+    *out = static_cast<i64>(0 - magnitude);
   } else {
     if (magnitude > static_cast<u64>(INT64_MAX)) return false;
     *out = static_cast<i64>(magnitude);
@@ -102,12 +104,24 @@ bool parse_int(std::string_view s, i64* out) {
 }
 
 std::string format(const char* fmt, ...) {
+  // Short results (the common case) stay on the stack; a longer one is
+  // formatted a second time straight into a string of the reported size.
   char buf[2048];
   va_list args;
   va_start(args, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, args);
+  va_list again;
+  va_copy(again, args);
+  const int n = std::vsnprintf(buf, sizeof buf, fmt, args);
   va_end(args);
-  return std::string(buf);
+  std::string out;
+  if (n >= 0 && static_cast<usize>(n) >= sizeof buf) {
+    out.resize(static_cast<usize>(n));
+    std::vsnprintf(out.data(), out.size() + 1, fmt, again);
+  } else {
+    out = buf;
+  }
+  va_end(again);
+  return out;
 }
 
 std::string to_lower(std::string_view s) {

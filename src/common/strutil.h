@@ -26,7 +26,7 @@ bool starts_with(std::string_view s, std::string_view prefix);
 /// Returns false on any trailing garbage or overflow.
 bool parse_int(std::string_view s, i64* out);
 
-/// printf into a std::string.
+/// printf into a std::string, of any length.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /// Lower-case an ASCII string.

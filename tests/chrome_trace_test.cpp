@@ -11,7 +11,6 @@
 #include "core/pipeline.h"
 #include "core/stats.h"
 #include "isa/assembler.h"
-#include "json_checker.h"
 
 namespace reese {
 namespace {
@@ -39,7 +38,7 @@ json::Value traced_run(const core::CoreConfig& config,
   pipeline.set_tracer(&tracer);
   EXPECT_EQ(pipeline.run(1'000, 100'000), core::StopReason::kHalted);
   tracer.finish();
-  EXPECT_TRUE(JsonChecker(sink->str()).valid());
+  EXPECT_TRUE(json::parse_json(sink->str()).ok());
   Result<json::Value> parsed = json::parse_json(sink->str());
   EXPECT_TRUE(parsed.ok());
   return std::move(parsed).value();
@@ -211,7 +210,7 @@ TEST(ChromeTrace, FinishFlushesInFlightAndIsIdempotent) {
   const u64 emitted = tracer.events_emitted();
   tracer.finish();  // idempotent: no extra events, no extra closing bracket
   EXPECT_EQ(tracer.events_emitted(), emitted);
-  EXPECT_TRUE(JsonChecker(sink.str()).valid()) << sink.str();
+  EXPECT_TRUE(json::parse_json(sink.str()).ok()) << sink.str();
 }
 
 // ---------------------------------------------------------------------------

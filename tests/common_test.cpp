@@ -350,6 +350,8 @@ TEST(StrUtil, ParseIntBounds) {
   EXPECT_EQ(v, INT64_MIN);
   EXPECT_FALSE(parse_int("9223372036854775808", &v));
   EXPECT_FALSE(parse_int("99999999999999999999999", &v));
+  // Wraps past 2^64 in the multiply; the sum alone does not show it.
+  EXPECT_FALSE(parse_int("82460000000000000000", &v));
 }
 
 TEST(StrUtil, ParseIntTrimsWhitespace) {
@@ -360,6 +362,8 @@ TEST(StrUtil, ParseIntTrimsWhitespace) {
 
 TEST(StrUtil, Format) {
   EXPECT_EQ(format("%d-%s", 5, "x"), "5-x");
+  const std::string long_arg(5000, 'q');
+  EXPECT_EQ(format("<%s>", long_arg.c_str()), "<" + long_arg + ">");
 }
 
 TEST(StrUtil, ToLower) {
@@ -772,6 +776,16 @@ TEST(Json, ParsesScalarsAndStructure) {
   EXPECT_EQ(root.find("c")->array.size(), 3u);
   EXPECT_TRUE(root.find("c")->array[2].is_null());
   EXPECT_EQ(root.find("d")->string, "x\nA");
+
+  const Result<json::Value> mixed =
+      json::parse_json(R"({"a": [1, 2.5, -3e2, "x\"y"], "b": true})");
+  ASSERT_TRUE(mixed.ok()) << mixed.error().message;
+  const json::Value* a = mixed.value().find("a");
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(a->array.size(), 4u);
+  EXPECT_DOUBLE_EQ(a->array[2].number, -300.0);
+  EXPECT_EQ(a->array[3].string, "x\"y");
+  EXPECT_TRUE(mixed.value().find("b")->boolean);
 }
 
 TEST(Json, PreservesFullU64Seeds) {

@@ -8,16 +8,19 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
+#include "workloads/workload.h"
 
 namespace reese::sim {
 namespace {
 
-ExperimentSpec small_grid(u32 jobs) {
+// Figure 2's grid (every standard model over the six SPECint95 stand-ins)
+// at a reduced budget, plus two extra seeds per cell.
+ExperimentSpec fig2_grid(u32 jobs) {
   ExperimentSpec spec;
   spec.title = "parallel determinism grid";
   spec.base = core::starting_config();
-  spec.models = {Model::kBaseline, Model::kReese};
-  spec.workloads = {"gcc", "li"};
+  spec.models = standard_models();
+  spec.workloads = workloads::spec_like_names();
   spec.instructions = 5'000;
   spec.extra_seeds = {0xAB12, 0xCD34};
   spec.jobs = jobs;
@@ -46,27 +49,27 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
 }
 
 TEST(ExperimentParallelTest, TwoJobsMatchesSequential) {
-  const ExperimentResult seq = run_experiment(small_grid(1));
-  const ExperimentResult par = run_experiment(small_grid(2));
+  const ExperimentResult seq = run_experiment(fig2_grid(1));
+  const ExperimentResult par = run_experiment(fig2_grid(2));
   expect_identical(seq, par);
-  EXPECT_EQ(seq.cells, par.cells);  // the operator== the perf harness uses
+  EXPECT_EQ(seq.cells, par.cells);  // whole-grid operator==, not just ipc
 }
 
 TEST(ExperimentParallelTest, HardwareConcurrencyMatchesSequential) {
   const u32 hardware = std::max(1u, std::thread::hardware_concurrency());
-  const ExperimentResult seq = run_experiment(small_grid(1));
-  const ExperimentResult par = run_experiment(small_grid(hardware));
+  const ExperimentResult seq = run_experiment(fig2_grid(1));
+  const ExperimentResult par = run_experiment(fig2_grid(hardware));
   expect_identical(seq, par);
 }
 
 TEST(ExperimentParallelTest, RepeatedParallelRunsAreStable) {
-  const ExperimentResult first = run_experiment(small_grid(4));
-  const ExperimentResult second = run_experiment(small_grid(4));
+  const ExperimentResult first = run_experiment(fig2_grid(4));
+  const ExperimentResult second = run_experiment(fig2_grid(4));
   expect_identical(first, second);
 }
 
 TEST(ExperimentParallelTest, CellsRecordPlausibleOutcomes) {
-  const ExperimentResult result = run_experiment(small_grid(2));
+  const ExperimentResult result = run_experiment(fig2_grid(2));
   for (const auto& per_model : result.cells) {
     for (const auto& per_seed : per_model) {
       for (const ExperimentCell& cell : per_seed) {

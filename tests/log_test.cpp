@@ -11,9 +11,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "common/metrics.h"
-#include "json_checker.h"
 
 namespace reese {
 namespace {
@@ -56,7 +56,7 @@ TEST(Log, EmitsExactJsonLines) {
             "\"worker\": \"127.0.0.1:9\", \"shard\": 3, "
             "\"kips\": 12.500000, \"cancelled\": false}\n");
   // Every line is one standalone JSON object.
-  EXPECT_TRUE(JsonChecker(capture).valid()) << capture;
+  EXPECT_TRUE(json::parse_json(capture).ok()) << capture;
 }
 
 TEST(Log, EscapesHostileMessagesAndFieldValues) {
@@ -68,7 +68,7 @@ TEST(Log, EscapesHostileMessagesAndFieldValues) {
               {log::field("path", "/tmp/\"log\".json")});
   ASSERT_EQ(capture.find('\n'), capture.size() - 1)
       << "embedded newlines must be escaped, one event = one line";
-  EXPECT_TRUE(JsonChecker(capture).valid()) << capture;
+  EXPECT_TRUE(json::parse_json(capture).ok()) << capture;
   EXPECT_NE(capture.find("\\\"quoted\\\""), std::string::npos);
   EXPECT_NE(capture.find("\\u0001"), std::string::npos);
 }
@@ -172,7 +172,7 @@ TEST(Log, ConcurrentEmittersNeverInterleaveWithinALine) {
   std::string line;
   while (std::getline(stream, line)) {
     ++lines;
-    EXPECT_TRUE(JsonChecker(line).valid()) << line;
+    EXPECT_TRUE(json::parse_json(line).ok()) << line;
   }
   EXPECT_EQ(lines, static_cast<usize>(kThreads) * kEvents);
 }

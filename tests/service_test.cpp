@@ -3,7 +3,7 @@
 //    wall-clock timeouts (408) and stats — driven in-process via handle();
 //  * results fetched through the service are byte-identical to a direct
 //    run_experiment/run_campaign with the same spec;
-//  * every JSON body the service emits round-trips through JsonChecker;
+//  * every JSON body the service emits parses with json::parse_json;
 //  * the HTTP layer over a real loopback socket (http::Server + client);
 //  * the shipped binaries: reesed on an ephemeral port driven by
 //    reese_client (submit → wait → result), then a SIGTERM drain that must
@@ -27,7 +27,6 @@
 #include "sim/campaign.h"
 #include "sim/experiment.h"
 #include "sim/service.h"
-#include "json_checker.h"
 
 namespace reese {
 namespace {
@@ -57,9 +56,8 @@ std::string submit_ok(SimulationService* service, const std::string& endpoint,
   const http::Response response =
       service->handle(make_request("POST", endpoint, spec));
   EXPECT_EQ(response.status, 202) << response.body;
-  EXPECT_TRUE(JsonChecker(response.body).valid()) << response.body;
   const Result<json::Value> parsed = json::parse_json(response.body);
-  EXPECT_TRUE(parsed.ok());
+  EXPECT_TRUE(parsed.ok()) << response.body;
   const json::Value* id = parsed.value().find("id");
   EXPECT_NE(id, nullptr);
   return format("/v1/jobs/%llu",
@@ -73,9 +71,8 @@ std::string wait_for_job(SimulationService* service,
     const http::Response response =
         service->handle(make_request("GET", id_path));
     EXPECT_EQ(response.status, 200) << response.body;
-    EXPECT_TRUE(JsonChecker(response.body).valid()) << response.body;
     const Result<json::Value> parsed = json::parse_json(response.body);
-    EXPECT_TRUE(parsed.ok());
+    EXPECT_TRUE(parsed.ok()) << response.body;
     const std::string state = parsed.value().find("state")->string;
     if (state != "queued" && state != "running") return state;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -116,7 +113,7 @@ TEST(Service, RejectsInvalidSpecsWith400) {
     const http::Response response =
         service.handle(make_request("POST", "/v1/experiments", spec));
     EXPECT_EQ(response.status, 400) << spec << " -> " << response.body;
-    EXPECT_TRUE(JsonChecker(response.body).valid()) << response.body;
+    EXPECT_TRUE(json::parse_json(response.body).ok()) << response.body;
   }
 
   const char* bad_campaigns[] = {
@@ -131,8 +128,22 @@ TEST(Service, RejectsInvalidSpecsWith400) {
     const http::Response response =
         service.handle(make_request("POST", "/v1/campaigns", spec));
     EXPECT_EQ(response.status, 400) << spec << " -> " << response.body;
-    EXPECT_TRUE(JsonChecker(response.body).valid()) << response.body;
+    EXPECT_TRUE(json::parse_json(response.body).ok()) << response.body;
   }
+}
+
+TEST(Service, LongErrorBodyStaysValidJson) {
+  // An error that quotes a long client string must not be cut short.
+  SimulationService service;
+  const std::string name(3000, 'w');
+  const http::Response response = service.handle(make_request(
+      "POST", "/v1/experiments", R"({"workloads": [")" + name + R"("]})"));
+  EXPECT_EQ(response.status, 400);
+  const Result<json::Value> parsed = json::parse_json(response.body);
+  ASSERT_TRUE(parsed.ok()) << response.body.size() << " bytes";
+  const json::Value* error = parsed.value().find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_NE(error->string.find(name), std::string::npos);
 }
 
 TEST(Service, ExperimentMatchesDirectRunByteForByte) {
@@ -151,7 +162,7 @@ TEST(Service, ExperimentMatchesDirectRunByteForByte) {
   EXPECT_EQ(csv.content_type, "text/csv");
   const http::Response json_body = service.handle(result_request(id_path));
   ASSERT_EQ(json_body.status, 200);
-  EXPECT_TRUE(JsonChecker(json_body.body).valid()) << json_body.body;
+  EXPECT_TRUE(json::parse_json(json_body.body).ok()) << json_body.body;
 
   // The same spec run directly must serialize identically: the service
   // adds queueing and timeouts around the grid, never inside it.
@@ -179,7 +190,7 @@ TEST(Service, CampaignMatchesDirectRunByteForByte) {
 
   const http::Response json_body = service.handle(result_request(id_path));
   ASSERT_EQ(json_body.status, 200);
-  EXPECT_TRUE(JsonChecker(json_body.body).valid()) << json_body.body;
+  EXPECT_TRUE(json::parse_json(json_body.body).ok()) << json_body.body;
   const http::Response csv = service.handle(result_request(id_path, "csv"));
   ASSERT_EQ(csv.status, 200);
 
@@ -208,7 +219,7 @@ TEST(Service, TimedOutJobAnswers408) {
   EXPECT_EQ(wait_for_job(&service, id_path), "timeout");
   const http::Response response = service.handle(result_request(id_path));
   EXPECT_EQ(response.status, 408);
-  EXPECT_TRUE(JsonChecker(response.body).valid()) << response.body;
+  EXPECT_TRUE(json::parse_json(response.body).ok()) << response.body;
   EXPECT_EQ(service.stats().timeouts, 1u);
 }
 
@@ -239,7 +250,7 @@ TEST(Service, FullQueueAnswers429) {
   const http::Response refused =
       service.handle(make_request("POST", "/v1/experiments", quick_spec));
   EXPECT_EQ(refused.status, 429) << refused.body;
-  EXPECT_TRUE(JsonChecker(refused.body).valid()) << refused.body;
+  EXPECT_TRUE(json::parse_json(refused.body).ok()) << refused.body;
   EXPECT_EQ(service.stats().rejected_queue_full, 1u);
 
   service.drain();
@@ -262,7 +273,7 @@ TEST(Service, BearerTokenGatesEverythingButHealthz) {
   const http::Response denied =
       service.handle(make_request("GET", "/v1/stats"));
   EXPECT_EQ(denied.status, 401) << denied.body;
-  EXPECT_TRUE(JsonChecker(denied.body).valid()) << denied.body;
+  EXPECT_TRUE(json::parse_json(denied.body).ok()) << denied.body;
 
   http::Request wrong = make_request("GET", "/v1/stats");
   wrong.headers["authorization"] = "Bearer nope";
@@ -338,7 +349,7 @@ TEST(Service, PruningPrefersFetchedResultsAndAnswers410) {
 
   const http::Response pruned = service.handle(result_request(job2));
   EXPECT_EQ(pruned.status, 410) << pruned.body;
-  EXPECT_TRUE(JsonChecker(pruned.body).valid()) << pruned.body;
+  EXPECT_TRUE(json::parse_json(pruned.body).ok()) << pruned.body;
   EXPECT_EQ(service.handle(result_request(job1)).status, 200)
       << "never-fetched result was pruned while a fetched one existed";
   EXPECT_EQ(service.handle(result_request(job3)).status, 200);
@@ -432,9 +443,8 @@ TEST(Service, StatsBodyIsValidJson) {
   const http::Response response =
       service.handle(make_request("GET", "/v1/stats"));
   ASSERT_EQ(response.status, 200);
-  EXPECT_TRUE(JsonChecker(response.body).valid()) << response.body;
   const Result<json::Value> parsed = json::parse_json(response.body);
-  ASSERT_TRUE(parsed.ok());
+  ASSERT_TRUE(parsed.ok()) << response.body;
   EXPECT_EQ(parsed.value().find("queue_depth")->uint_value, 0u);
   EXPECT_NE(parsed.value().find("cumulative_kips"), nullptr);
 }
@@ -506,9 +516,8 @@ TEST(Service, ProgressEndpointTracksAJobToCompletion) {
     const http::Response response =
         service.handle(make_request("GET", id_path + "/progress"));
     ASSERT_EQ(response.status, 200) << response.body;
-    EXPECT_TRUE(JsonChecker(response.body).valid()) << response.body;
     const Result<json::Value> parsed = json::parse_json(response.body);
-    ASSERT_TRUE(parsed.ok());
+    ASSERT_TRUE(parsed.ok()) << response.body;
     const json::Value& body = parsed.value();
     const u64 done = body.find("cells_done")->uint_value;
     const u64 committed = body.find("committed")->uint_value;
@@ -580,7 +589,7 @@ TEST(HttpLoopback, ServesServiceEndpoints) {
   const http::Response health =
       http::request("127.0.0.1", server.port(), "GET", "/v1/healthz");
   EXPECT_EQ(health.status, 200) << health.body;
-  EXPECT_TRUE(JsonChecker(health.body).valid());
+  EXPECT_TRUE(json::parse_json(health.body).ok());
 
   const http::Response bad = http::request(
       "127.0.0.1", server.port(), "POST", "/v1/experiments", "{oops");

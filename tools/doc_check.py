@@ -33,7 +33,7 @@ FLAG_REGISTRATION = re.compile(r'(?:\.|->)add\(\s*"(--?[a-z][a-z0-9_-]*)"')
 
 # Every flag of every binary, as registered when this floor was last
 # raised; a count below it means the collector lost track of the sources.
-MIN_FLAGS = 74
+MIN_FLAGS = 72
 
 # Directories holding binaries (or, under src/, shared helpers such as
 # sim::add_grid_flags) that register flags.
