@@ -27,8 +27,9 @@
 //   --out PATH    report path (default: BENCH_avf.json in the CWD)
 //
 // With no positional programs, every examples/srv/*.srv under the source
-// tree is used. Exit status 1 when a program fails to assemble, the
-// report cannot be written, or fewer than two programs pass.
+// tree is used, and the report's "path" names it relative to the source
+// root (examples/srv/gcd.srv). Exit status 1 when a program fails to
+// assemble, the report cannot be written, or fewer than two programs pass.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -38,7 +39,7 @@
 #include <vector>
 
 #include "analysis/vuln.h"
-#include "common/diag.h"
+#include "common/json.h"
 #include "common/flags.h"
 #include "common/strutil.h"
 #include "isa/assembler.h"
@@ -95,7 +96,8 @@ int main(int argc, char** argv) {
   flags.accept_operands();
   if (!flags.parse_or_report(argc, argv)) return 2;
   std::vector<std::string> program_paths = flags.positional();
-  if (program_paths.empty()) program_paths = default_programs();
+  const bool default_inputs = program_paths.empty();
+  if (default_inputs) program_paths = default_programs();
   if (program_paths.empty()) {
     std::fprintf(stderr, "avf_validate: no input programs\n");
     return 1;
@@ -154,7 +156,12 @@ int main(int argc, char** argv) {
 
     ProgramReport report;
     report.name = spec.programs[w].name;
-    report.path = program_paths[w];
+    // Default programs are named relative to the source root, so two
+    // checkouts of one commit write identical reports.
+    report.path = default_inputs ? fs::path(program_paths[w])
+                                       .lexically_relative(REESE_SOURCE_DIR)
+                                       .generic_string()
+                                 : program_paths[w];
     report.static_instructions = vuln.instructions.size();
 
     std::vector<double> predicted;
@@ -194,42 +201,35 @@ int main(int argc, char** argv) {
   const usize required = std::min<usize>(2, reports.size());
   const bool pass = passing >= required;
 
-  std::string json;
-  json += "{\n";
-  json += "  \"schema\": \"reese-avf-v1\",\n";
-  json += "  \"kind\": \"validation\",\n";
-  json += format("  \"quick\": %s,\n", quick ? "true" : "false");
-  json += format("  \"replicas\": %u,\n", spec.replicas);
-  json += format("  \"rate\": %.6f,\n", spec.rate);
-  json += format("  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(spec.seed));
-  json += format("  \"min_rho\": %.3f,\n", min_rho);
-  json += "  \"programs\": [\n";
-  for (usize i = 0; i < reports.size(); ++i) {
-    const ProgramReport& r = reports[i];
-    json += "    {\n";
-    json += format("      \"name\": \"%s\",\n", json_escape(r.name).c_str());
-    json += format("      \"path\": \"%s\",\n", json_escape(r.path).c_str());
-    json += format("      \"static_instructions\": %zu,\n",
-                   r.static_instructions);
-    json += format("      \"joined_pcs\": %zu,\n", r.joined_pcs);
-    json += format("      \"injected\": %llu,\n",
-                   static_cast<unsigned long long>(r.injected));
-    json += format("      \"escapes\": %llu,\n",
-                   static_cast<unsigned long long>(r.escapes));
-    json += format("      \"rho_window\": %.6f,\n", r.rho_window);
-    json += format("      \"rho_escape\": %.6f,\n", r.rho_escape);
-    json += format("      \"pass\": %s\n", r.pass ? "true" : "false");
-    json += i + 1 < reports.size() ? "    },\n" : "    }\n";
+  std::string report_json;
+  json::Writer w(&report_json);
+  w.begin_object().key("schema").value("reese-avf-v1");
+  w.key("kind").value("validation");
+  w.key("quick").value(quick);
+  w.key("replicas").value(spec.replicas);
+  w.key("rate").fixed(spec.rate, 6);
+  w.key("seed").value(spec.seed);
+  w.key("min_rho").fixed(min_rho, 3);
+  w.key("programs").begin_array();
+  for (const ProgramReport& r : reports) {
+    w.begin_object().key("name").value(r.name);
+    w.key("path").value(r.path);
+    w.key("static_instructions").value(r.static_instructions);
+    w.key("joined_pcs").value(r.joined_pcs);
+    w.key("injected").value(r.injected);
+    w.key("escapes").value(r.escapes);
+    w.key("rho_window").fixed(r.rho_window, 6);
+    w.key("rho_escape").fixed(r.rho_escape, 6);
+    w.key("pass").value(r.pass).end();
   }
-  json += "  ],\n";
-  json += format("  \"programs_passing\": %zu,\n", passing);
-  json += format("  \"programs_required\": %zu,\n", required);
-  json += format("  \"pass\": %s\n", pass ? "true" : "false");
-  json += "}\n";
+  w.end();
+  w.key("programs_passing").value(passing);
+  w.key("programs_required").value(required);
+  w.key("pass").value(pass).end();
+  report_json += '\n';
 
   std::ofstream out(out_path);
-  if (!out || !(out << json)) {
+  if (!out || !(out << report_json)) {
     std::fprintf(stderr, "avf_validate: cannot write %s\n", out_path.c_str());
     return 1;
   }

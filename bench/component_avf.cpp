@@ -46,7 +46,7 @@
 #include <vector>
 
 #include "analysis/vuln.h"
-#include "common/diag.h"
+#include "common/json.h"
 #include "common/flags.h"
 #include "common/strutil.h"
 #include "isa/assembler.h"
@@ -334,78 +334,60 @@ int main(int argc, char** argv) {
     if (!check.pass) pass = false;
   }
 
-  std::string json;
-  json += "{\n";
-  json += "  \"schema\": \"reese-cavf-v1\",\n";
-  json += format("  \"quick\": %s,\n", quick ? "true" : "false");
-  json += format("  \"instructions\": %llu,\n",
-                 static_cast<unsigned long long>(spec.instructions));
-  json += format("  \"replicas\": %u,\n", spec.replicas);
-  json += format("  \"rate\": %g,\n", spec.rate);
-  json += format("  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(spec.seed));
-  json += "  \"sites\": [\n";
-  for (usize i = 0; i < rows.size(); ++i) {
-    const SiteRow& r = rows[i];
-    json += "    {\n";
-    json += format("      \"label\": \"%s\",\n", json_escape(r.label).c_str());
-    json += format("      \"base\": \"%s\",\n", json_escape(r.base).c_str());
-    json += format("      \"site\": \"%s\",\n", r.site);
-    json += format("      \"injected\": %llu,\n",
-                   static_cast<unsigned long long>(r.injected));
-    json += format("      \"detected\": %llu,\n",
-                   static_cast<unsigned long long>(r.detected));
-    json += format("      \"masked\": %llu,\n",
-                   static_cast<unsigned long long>(r.masked));
-    json += format("      \"sdc\": %llu,\n",
-                   static_cast<unsigned long long>(r.sdc));
-    json += format("      \"coverage_loss\": %llu,\n",
-                   static_cast<unsigned long long>(r.coverage_loss));
-    json += format("      \"detection\": %.6f,\n", r.detection);
-    json += format("      \"detection_lower\": %.6f,\n", r.detection_ci.lower);
-    json += format("      \"detection_upper\": %.6f,\n", r.detection_ci.upper);
-    json += format("      \"avf\": %.6f,\n", r.avf);
-    json += format("      \"avf_lower\": %.6f,\n", r.avf_ci.lower);
-    json += format("      \"avf_upper\": %.6f,\n", r.avf_ci.upper);
-    json += format("      \"mean_latency\": %.3f,\n", r.mean_latency);
-    json += "      \"top_pcs\": [";
-    for (usize p = 0; p < r.top_pcs.size(); ++p) {
-      json += format("%s{\"pc\": %llu, \"injected\": %llu, "
-                     "\"detected\": %llu, \"sdc\": %llu}",
-                     p == 0 ? "" : ", ",
-                     static_cast<unsigned long long>(r.top_pcs[p].pc),
-                     static_cast<unsigned long long>(r.top_pcs[p].injected),
-                     static_cast<unsigned long long>(r.top_pcs[p].detected),
-                     static_cast<unsigned long long>(r.top_pcs[p].sdc));
+  std::string report;
+  json::Writer w(&report);
+  w.begin_object().key("schema").value("reese-cavf-v1");
+  w.key("quick").value(quick);
+  w.key("instructions").value(spec.instructions);
+  w.key("replicas").value(spec.replicas);
+  w.key("rate").significant(spec.rate, 6);
+  w.key("seed").value(spec.seed);
+  w.key("sites").begin_array();
+  for (const SiteRow& r : rows) {
+    w.begin_object().key("label").value(r.label);
+    w.key("base").value(r.base);
+    w.key("site").value(r.site);
+    w.key("injected").value(r.injected);
+    w.key("detected").value(r.detected);
+    w.key("masked").value(r.masked);
+    w.key("sdc").value(r.sdc);
+    w.key("coverage_loss").value(r.coverage_loss);
+    w.key("detection").fixed(r.detection, 6);
+    w.key("detection_lower").fixed(r.detection_ci.lower, 6);
+    w.key("detection_upper").fixed(r.detection_ci.upper, 6);
+    w.key("avf").fixed(r.avf, 6);
+    w.key("avf_lower").fixed(r.avf_ci.lower, 6);
+    w.key("avf_upper").fixed(r.avf_ci.upper, 6);
+    w.key("mean_latency").fixed(r.mean_latency, 3);
+    w.key("top_pcs").begin_array(json::Layout::kInline);
+    for (const SiteRow::TopPc& top : r.top_pcs) {
+      w.begin_object(json::Layout::kInline);
+      w.key("pc").value(top.pc).key("injected").value(top.injected);
+      w.key("detected").value(top.detected).key("sdc").value(top.sdc).end();
     }
-    json += "]\n";
-    json += i + 1 < rows.size() ? "    },\n" : "    }\n";
+    w.end().end();
   }
-  json += "  ],\n";
-  json += "  \"cross_validation\": [\n";
-  for (usize i = 0; i < xval.size(); ++i) {
-    const XvalRow& r = xval[i];
-    json += format("    {\"name\": \"%s\", \"joined_pcs\": %zu, "
-                   "\"injected\": %llu, \"sdc\": %llu, \"rho_sdc\": %.6f}%s\n",
-                   json_escape(r.name).c_str(), r.joined_pcs,
-                   static_cast<unsigned long long>(r.injected),
-                   static_cast<unsigned long long>(r.sdc), r.rho_sdc,
-                   i + 1 < xval.size() ? "," : "");
+  w.end();
+  w.key("cross_validation").begin_array();
+  for (const XvalRow& r : xval) {
+    w.begin_object(json::Layout::kInline);
+    w.key("name").value(r.name).key("joined_pcs").value(r.joined_pcs);
+    w.key("injected").value(r.injected).key("sdc").value(r.sdc);
+    w.key("rho_sdc").fixed(r.rho_sdc, 6).end();
   }
-  json += "  ],\n";
-  json += "  \"checks\": [\n";
-  for (usize i = 0; i < checks.size(); ++i) {
-    json += format("    {\"name\": \"%s\", \"pass\": %s, \"detail\": \"%s\"}%s\n",
-                   checks[i].name.c_str(), checks[i].pass ? "true" : "false",
-                   json_escape(checks[i].detail).c_str(),
-                   i + 1 < checks.size() ? "," : "");
+  w.end();
+  w.key("checks").begin_array();
+  for (const Check& check : checks) {
+    w.begin_object(json::Layout::kInline);
+    w.key("name").value(check.name).key("pass").value(check.pass);
+    w.key("detail").value(check.detail).end();
   }
-  json += "  ],\n";
-  json += format("  \"pass\": %s\n", pass ? "true" : "false");
-  json += "}\n";
+  w.end();
+  w.key("pass").value(pass).end();
+  report += '\n';
 
   std::ofstream out(out_path);
-  if (!out || !(out << json)) {
+  if (!out || !(out << report)) {
     std::fprintf(stderr, "component_avf: cannot write %s\n", out_path.c_str());
     return 1;
   }

@@ -24,9 +24,8 @@
 #include <string>
 #include <vector>
 
-#include "common/diag.h"
 #include "common/flags.h"
-#include "common/strutil.h"
+#include "common/json.h"
 #include "sim/experiment.h"
 
 using namespace reese;
@@ -115,46 +114,32 @@ std::vector<Figure> figure_set() {
   return figures;
 }
 
-std::string figure_json(const Figure& figure, const sim::ExperimentResult& r,
-                        double wall_seconds) {
-  std::string out = "    {\n";
-  out += format("      \"name\": \"%s\",\n", figure.name.c_str());
-  out += format("      \"title\": \"%s\",\n",
-                json_escape(r.spec.title).c_str());
-  out += "      \"workloads\": [";
-  for (usize w = 0; w < r.spec.workloads.size(); ++w) {
-    out += format("%s\"%s\"", w == 0 ? "" : ", ",
-                  json_escape(r.spec.workloads[w]).c_str());
+void write_figure(json::Writer& w, const Figure& figure,
+                  const sim::ExperimentResult& r, double wall_seconds) {
+  w.begin_object().key("name").value(figure.name);
+  w.key("title").value(r.spec.title);
+  w.key("workloads").begin_array(json::Layout::kInline);
+  for (const std::string& workload : r.spec.workloads) w.value(workload);
+  w.end();
+  w.key("models").begin_array(json::Layout::kInline);
+  for (sim::Model model : r.spec.models) w.value(sim::model_slug(model));
+  w.end();
+  w.key("ipc").begin_array();
+  for (const std::vector<double>& row : r.ipc) {
+    w.begin_array(json::Layout::kInline);
+    for (double ipc : row) w.fixed(ipc, 6);
+    w.end();
   }
-  out += "],\n";
-  out += "      \"models\": [";
+  w.end();
+  w.key("average").begin_array(json::Layout::kInline);
+  for (usize m = 0; m < r.spec.models.size(); ++m) w.fixed(r.average(m), 6);
+  w.end();
+  w.key("overhead_pct").begin_array(json::Layout::kInline);
   for (usize m = 0; m < r.spec.models.size(); ++m) {
-    out += format("%s\"%s\"", m == 0 ? "" : ", ",
-                  sim::model_slug(r.spec.models[m]));
+    w.fixed(r.overhead_pct(m), 3);
   }
-  out += "],\n";
-  out += "      \"ipc\": [\n";
-  for (usize w = 0; w < r.ipc.size(); ++w) {
-    out += "        [";
-    for (usize m = 0; m < r.ipc[w].size(); ++m) {
-      out += format("%s%.6f", m == 0 ? "" : ", ", r.ipc[w][m]);
-    }
-    out += format("]%s\n", w + 1 < r.ipc.size() ? "," : "");
-  }
-  out += "      ],\n";
-  out += "      \"average\": [";
-  for (usize m = 0; m < r.spec.models.size(); ++m) {
-    out += format("%s%.6f", m == 0 ? "" : ", ", r.average(m));
-  }
-  out += "],\n";
-  out += "      \"overhead_pct\": [";
-  for (usize m = 0; m < r.spec.models.size(); ++m) {
-    out += format("%s%.3f", m == 0 ? "" : ", ", r.overhead_pct(m));
-  }
-  out += "],\n";
-  out += format("      \"wall_seconds\": %.3f\n", wall_seconds);
-  out += "    }";
-  return out;
+  w.end();
+  w.key("wall_seconds").fixed(wall_seconds, 3).end();
 }
 
 }  // namespace
@@ -190,11 +175,10 @@ int main(int argc, char** argv) {
               figures.size(), static_cast<unsigned long long>(instructions),
               checkpoint.dir.empty() ? "off" : checkpoint.dir.c_str());
 
-  std::string figures_json;
   std::vector<sim::ExperimentResult> results;
+  std::vector<double> walls;
   double total_wall = 0.0;
-  for (usize f = 0; f < figures.size(); ++f) {
-    Figure& figure = figures[f];
+  for (Figure& figure : figures) {
     figure.spec.instructions = instructions;
     figure.spec.jobs = jobs;
     figure.spec.checkpoint = checkpoint;
@@ -206,40 +190,46 @@ int main(int argc, char** argv) {
     total_wall += wall;
     std::fputs(result.table().c_str(), stdout);
     std::printf("  (%s: %.1fs wall)\n\n", figure.name.c_str(), wall);
-    figures_json += figure_json(figure, result, wall);
-    figures_json += f + 1 < figures.size() ? ",\n" : "\n";
     results.push_back(result);
+    walls.push_back(wall);
   }
 
   // Figure 6 is the summary of figures 2-5: average IPC per hardware
   // variation, assembled from the grids already run.
   const char* kVariation[] = {"None", "RUU,LSQ 2X", "Ex.Q 2X", "MemPorts"};
   std::printf("Figure 6: summary of results\n");
-  std::string fig6 = "  \"fig6_summary\": [\n";
   for (usize f = 0; f < 4; ++f) {
-    const sim::ExperimentResult& r = results[f];
     std::printf("  %-12s", kVariation[f]);
-    fig6 += format("    {\"variation\": \"%s\", \"average\": [", kVariation[f]);
-    for (usize m = 0; m < r.spec.models.size(); ++m) {
-      std::printf("%14.3f", r.average(m));
-      fig6 += format("%s%.6f", m == 0 ? "" : ", ", r.average(m));
+    for (usize m = 0; m < results[f].spec.models.size(); ++m) {
+      std::printf("%14.3f", results[f].average(m));
     }
     std::printf("\n");
-    fig6 += format("]}%s\n", f + 1 < 4 ? "," : "");
   }
-  fig6 += "  ],\n";
 
-  std::string json = "{\n";
-  json += "  \"schema\": \"reese-overnight-v1\",\n";
-  json += format("  \"instructions\": %llu,\n",
-                 static_cast<unsigned long long>(instructions));
   const char* sha = std::getenv("GITHUB_SHA");
   if (sha == nullptr || *sha == '\0') sha = std::getenv("REESE_GIT_SHA");
-  json += format("  \"git_sha\": \"%s\",\n",
-                 json_escape(sha == nullptr ? "" : sha).c_str());
-  json += format("  \"total_wall_seconds\": %.3f,\n", total_wall);
-  json += fig6;
-  json += "  \"figures\": [\n" + figures_json + "  ]\n}\n";
+  std::string json;
+  json::Writer w(&json);
+  w.begin_object().key("schema").value("reese-overnight-v1");
+  w.key("instructions").value(instructions);
+  w.key("git_sha").value(sha == nullptr ? "" : sha);
+  w.key("total_wall_seconds").fixed(total_wall, 3);
+  w.key("fig6_summary").begin_array();
+  for (usize f = 0; f < 4; ++f) {
+    w.begin_object(json::Layout::kInline).key("variation").value(kVariation[f]);
+    w.key("average").begin_array(json::Layout::kInline);
+    for (usize m = 0; m < results[f].spec.models.size(); ++m) {
+      w.fixed(results[f].average(m), 6);
+    }
+    w.end().end();
+  }
+  w.end();
+  w.key("figures").begin_array();
+  for (usize f = 0; f < figures.size(); ++f) {
+    write_figure(w, figures[f], results[f], walls[f]);
+  }
+  w.end().end();
+  json += '\n';
 
   std::FILE* file = std::fopen(out_path.c_str(), "w");
   if (file == nullptr) {

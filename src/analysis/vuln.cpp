@@ -7,7 +7,7 @@
 
 #include "analysis/const_lattice.h"
 #include "analysis/dataflow.h"
-#include "common/diag.h"
+#include "common/json.h"
 #include "common/strutil.h"
 #include "isa/instruction.h"
 
@@ -581,40 +581,34 @@ std::string VulnReport::table(std::string_view source, usize top) const {
 }
 
 std::string VulnReport::json(std::string_view source) const {
-  std::string out = format(
-      "{\n"
-      "  \"schema\": \"reese-avf-v1\",\n"
-      "  \"kind\": \"static\",\n"
-      "  \"source\": \"%s\",\n"
-      "  \"instruction_count\": %zu,\n"
-      "  \"instructions\": [",
-      json_escape(source).c_str(), instructions.size());
-  for (usize i = 0; i < instructions.size(); ++i) {
-    const InstVuln& v = instructions[i];
-    out += format(
-        "%s\n    {\"pc\": %llu, \"inst\": \"%s\", \"reachable\": %s, "
-        "\"depth\": %u, \"freq\": %.9g, \"window_lo\": %d, \"window_hi\": %d, "
-        "\"window_expected\": %.9g, \"demanded_mask\": \"0x%016llx\", "
-        "\"demanded_bits\": %d, \"mask_class\": \"%s\", "
-        "\"ace_score\": %.9g, \"score\": %.9g}",
-        i == 0 ? "" : ",", static_cast<unsigned long long>(v.pc),
-        json_escape(v.text).c_str(), v.reachable ? "true" : "false", v.depth,
-        v.freq, v.window.empty() ? -1 : static_cast<int>(v.window.lo),
-        v.window.empty() ? -1 : static_cast<int>(v.window.hi),
-        v.window.expected(),
-        static_cast<unsigned long long>(v.demanded),
-        std::popcount(v.demanded),
-        std::string(mask_class_name(v.mask_class)).c_str(), v.ace_score,
-        v.score);
+  std::string out;
+  json::Writer w(&out);
+  w.begin_object().key("schema").value("reese-avf-v1");
+  w.key("kind").value("static");
+  w.key("source").value(source);
+  w.key("instruction_count").value(instructions.size());
+  w.key("instructions").begin_array();
+  for (const InstVuln& v : instructions) {
+    w.begin_object(json::Layout::kInline);
+    w.key("pc").value(v.pc).key("inst").value(v.text);
+    w.key("reachable").value(v.reachable).key("depth").value(v.depth);
+    w.key("freq").significant(v.freq, 9);
+    const bool dead = v.window.empty();
+    w.key("window_lo").value(dead ? -1 : static_cast<int>(v.window.lo));
+    w.key("window_hi").value(dead ? -1 : static_cast<int>(v.window.hi));
+    w.key("window_expected").significant(v.window.expected(), 9);
+    w.key("demanded_mask").value(
+        format("0x%016llx", static_cast<unsigned long long>(v.demanded)));
+    w.key("demanded_bits").value(std::popcount(v.demanded));
+    w.key("mask_class").value(mask_class_name(v.mask_class));
+    w.key("ace_score").significant(v.ace_score, 9);
+    w.key("score").significant(v.score, 9).end();
   }
-  out += format(
-      "\n  ],\n"
-      "  \"ranking\": [");
-  for (usize r = 0; r < ranking.size(); ++r) {
-    out += format("%s%llu", r == 0 ? "" : ", ",
-                  static_cast<unsigned long long>(instructions[ranking[r]].pc));
-  }
-  out += "]\n}\n";
+  w.end();
+  w.key("ranking").begin_array(json::Layout::kInline);
+  for (usize r : ranking) w.value(instructions[r].pc);
+  w.end().end();
+  out += '\n';
   return out;
 }
 

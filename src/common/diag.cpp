@@ -21,27 +21,6 @@ usize count_severity(const std::vector<Diagnostic>& diags, Severity severity) {
   return n;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += format("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 namespace {
 
 std::string render_text(const std::vector<Diagnostic>& diags,
@@ -65,27 +44,20 @@ std::string render_text(const std::vector<Diagnostic>& diags,
 
 std::string render_json(const std::vector<Diagnostic>& diags,
                         std::string_view source) {
-  std::string out = "{\n";
-  out += format("  \"source\": \"%s\",\n",
-                json_escape(source).c_str());
-  out += "  \"diagnostics\": [";
-  for (usize i = 0; i < diags.size(); ++i) {
-    const Diagnostic& d = diags[i];
-    out += i ? ",\n    " : "\n    ";
-    out += format("{\"severity\": \"%.*s\", \"pc\": %llu, "
-                  "\"pass\": \"%s\", \"message\": \"%s\"}",
-                  static_cast<int>(severity_name(d.severity).size()),
-                  severity_name(d.severity).data(),
-                  static_cast<unsigned long long>(d.pc),
-                  json_escape(d.pass).c_str(),
-                  json_escape(d.message).c_str());
+  std::string out;
+  json::Writer w(&out);
+  w.begin_object().key("source").value(source);
+  w.key("diagnostics").begin_array();
+  for (const Diagnostic& d : diags) {
+    w.begin_object(json::Layout::kInline);
+    w.key("severity").value(severity_name(d.severity)).key("pc").value(d.pc);
+    w.key("pass").value(d.pass).key("message").value(d.message).end();
   }
-  out += diags.empty() ? "],\n" : "\n  ],\n";
-  out += format("  \"errors\": %zu,\n  \"warnings\": %zu,\n  \"notes\": %zu\n",
-                count_severity(diags, Severity::kError),
-                count_severity(diags, Severity::kWarning),
-                count_severity(diags, Severity::kNote));
-  out += "}\n";
+  w.end();
+  w.key("errors").value(count_severity(diags, Severity::kError));
+  w.key("warnings").value(count_severity(diags, Severity::kWarning));
+  w.key("notes").value(count_severity(diags, Severity::kNote)).end();
+  out += '\n';
   return out;
 }
 

@@ -12,6 +12,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/json.h"  // json_escape, which reporters reach through here
 #include "common/types.h"
 
 namespace reese {
@@ -48,9 +49,5 @@ enum class DiagFormat : u8 { kText, kJson };
 std::string render_diagnostics(const std::vector<Diagnostic>& diags,
                                DiagFormat format,
                                std::string_view source = "<program>");
-
-/// Escape a string for embedding in a JSON string literal (no surrounding
-/// quotes). Exposed for reporters that build larger JSON documents.
-std::string json_escape(std::string_view s);
 
 }  // namespace reese

@@ -4,7 +4,33 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
+
+namespace reese {
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += format("\\u%04x", c);
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+}  // namespace reese
 
 namespace reese::json {
 
@@ -243,6 +269,68 @@ const Value* Value::find(std::string_view key) const {
 
 Result<Value> parse_json(std::string_view text) {
   return Parser(text).run();
+}
+
+void Writer::before_value() {
+  if (after_key_) {
+    after_key_ = false;
+  } else if (!stack_.empty()) {
+    Frame& frame = stack_.back();
+    if (frame.members++ > 0) {
+      *out_ += frame.layout == Layout::kInline ? ", " : ",";
+    }
+    if (frame.layout == Layout::kBlock) {
+      *out_ += '\n';
+      out_->append(2 * stack_.size(), ' ');
+    }
+  }
+}
+
+Writer& Writer::begin(char open, bool object, Layout layout) {
+  before_value();
+  *out_ += open;
+  stack_.push_back(Frame{layout, object});
+  return *this;
+}
+
+Writer& Writer::begin_object(Layout layout) { return begin('{', true, layout); }
+Writer& Writer::begin_array(Layout layout) { return begin('[', false, layout); }
+
+Writer& Writer::end() {
+  const Frame frame = stack_.back();
+  stack_.pop_back();
+  if (frame.layout == Layout::kBlock && frame.members > 0) {
+    *out_ += '\n';
+    out_->append(2 * stack_.size(), ' ');
+  }
+  *out_ += frame.object ? '}' : ']';
+  return *this;
+}
+
+Writer& Writer::key(std::string_view name) {
+  after_key_ = false;  // the last member's value may have been hand-written
+  value(name);
+  *out_ += stack_.back().layout == Layout::kCompact ? ":" : ": ";
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::value(std::string_view s) {
+  return raw('"' + json_escape(s) + '"');
+}
+
+Writer& Writer::fixed(double v, int decimals) {
+  return raw(std::isfinite(v) ? format("%.*f", decimals, v) : "null");
+}
+
+Writer& Writer::significant(double v, int digits) {
+  return raw(std::isfinite(v) ? format("%.*g", digits, v) : "null");
+}
+
+Writer& Writer::raw(std::string_view json) {
+  before_value();
+  *out_ += json;
+  return *this;
 }
 
 }  // namespace reese::json

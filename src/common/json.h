@@ -1,25 +1,27 @@
-// Minimal JSON document parser for the simulation service (reesed).
-//
-// The repo deliberately carries no third-party JSON dependency; reports are
-// emitted with printf-style builders (campaign.cpp, diag.cpp), and the tests
-// check them with this parser. The service is the first component that must
-// *read* JSON — request specs arrive over HTTP — so this adds the smallest
-// parser that covers RFC 8259 documents: objects, arrays, strings with the
-// standard escapes, numbers, true/false/null. Documents are parsed into a
-// tree of Value nodes; object members preserve insertion order.
-//
-// Numbers keep an exact unsigned/signed integer view when the token is
-// integral and in range (seeds are full-width u64; a double would round
-// above 2^53), plus the double view for everything else.
+// JSON for the simulator, with no third-party dependency. parse_json reads
+// RFC 8259 documents arriving over HTTP (reesed request specs) into a tree
+// of Value nodes; object members keep insertion order, and integers keep an
+// exact u64/i64 view (seeds are full-width; a double rounds above 2^53).
+// Writer produces every JSON document the simulator, tools and benches
+// write (DESIGN.md §19).
 #pragma once
 
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
 #include "common/types.h"
+
+namespace reese {
+
+/// Escape a string for embedding in a JSON string literal (no surrounding
+/// quotes); bytes below 0x20 become escapes, UTF-8 passes through.
+std::string json_escape(std::string_view s);
+
+}  // namespace reese
 
 namespace reese::json {
 
@@ -55,5 +57,56 @@ class Value {
 /// Nesting deeper than 64 levels is rejected (stack safety on untrusted
 /// network input).
 Result<Value> parse_json(std::string_view text);
+
+/// How a container lays out its members; chosen when it is opened.
+enum class Layout : u8 {
+  kBlock,    ///< one member per line, two spaces per level; empty = [] / {}
+  kInline,   ///< ", " and ": " on one line
+  kCompact,  ///< "," and ":" (Chrome trace events)
+};
+
+/// Streaming writer appending to a caller-owned string. Calls chain
+/// (`w.key("seed").value(seed)`); the caller pairs begin/end and names
+/// every object member with key(). Bytes go straight to the string, so a
+/// caller may append its own text between calls where a layout needs it.
+class Writer {
+ public:
+  explicit Writer(std::string* out) : out_(out) {}
+
+  Writer& begin_object(Layout layout = Layout::kBlock);
+  Writer& begin_array(Layout layout = Layout::kBlock);
+  Writer& end();  ///< close the innermost open container
+  Writer& key(std::string_view name);
+
+  Writer& value(std::string_view s);
+  Writer& value(const char* s) { return value(std::string_view(s)); }
+  Writer& value(bool b) { return raw(b ? "true" : "false"); }
+  template <typename T, std::enable_if_t<std::is_integral_v<T>, int> = 0>
+  Writer& value(T v) {  // any other integer type, exact
+    return raw(std::to_string(v));
+  }
+  /// `v` with `decimals` digits after the point (1.500000 for 6).
+  Writer& fixed(double v, int decimals);
+  /// `v` with at most `digits` significant digits (0.01, 300, 1e-05 for 6;
+  /// 17 round-trip any double). Both write a non-finite `v` as null.
+  Writer& significant(double v, int digits);
+  /// A value another Writer already rendered (log::Field payloads, fleet
+  /// timeline slice args).
+  Writer& raw(std::string_view json);
+
+ private:
+  struct Frame {
+    Layout layout;
+    bool object;
+    usize members = 0;
+  };
+
+  Writer& begin(char open, bool object, Layout layout);
+  void before_value();  ///< separator and indentation before a value
+
+  std::string* out_;
+  std::vector<Frame> stack_;
+  bool after_key_ = false;
+};
 
 }  // namespace reese::json

@@ -1,10 +1,8 @@
 #include "common/log.h"
 
 #include <chrono>
-#include <cmath>
 
-#include "common/diag.h"
-#include "common/strutil.h"
+#include "common/json.h"
 
 namespace reese::log {
 
@@ -16,8 +14,12 @@ double wall_clock_now() {
       .count();
 }
 
-std::string quoted(std::string_view value) {
-  return "\"" + json_escape(value) + "\"";
+/// A Field whose payload is `value` rendered by a Writer.
+template <typename T>
+Field rendered(std::string key, const T& value) {
+  Field f{std::move(key), {}};
+  json::Writer(&f.json).value(value);
+  return f;
 }
 
 }  // namespace
@@ -48,33 +50,31 @@ bool level_from_name(std::string_view name, Level* out) {
 }
 
 Field field(std::string key, std::string_view value) {
-  return {std::move(key), quoted(value)};
+  return rendered(std::move(key), value);
 }
 Field field(std::string key, const char* value) {
-  return {std::move(key), quoted(value == nullptr ? "" : value)};
-}
-Field field(std::string key, const std::string& value) {
-  return {std::move(key), quoted(value)};
+  return rendered(std::move(key),
+                  std::string_view(value == nullptr ? "" : value));
 }
 Field field(std::string key, u64 value) {
-  return {std::move(key),
-          format("%llu", static_cast<unsigned long long>(value))};
+  return rendered(std::move(key), value);
 }
 Field field(std::string key, u32 value) {
-  return field(std::move(key), static_cast<u64>(value));
+  return rendered(std::move(key), value);
 }
 Field field(std::string key, i64 value) {
-  return {std::move(key), format("%lld", static_cast<long long>(value))};
+  return rendered(std::move(key), value);
 }
 Field field(std::string key, int value) {
-  return field(std::move(key), static_cast<i64>(value));
+  return rendered(std::move(key), value);
 }
 Field field(std::string key, double value) {
-  if (!std::isfinite(value)) return {std::move(key), "null"};
-  return {std::move(key), format("%.6f", value)};
+  Field f{std::move(key), {}};
+  json::Writer(&f.json).fixed(value, 6);
+  return f;
 }
 Field field(std::string key, bool value) {
-  return {std::move(key), value ? "true" : "false"};
+  return rendered(std::move(key), value);
 }
 
 Logger::~Logger() {
@@ -130,13 +130,14 @@ void Logger::log(Level level, std::string_view kind, std::string_view message,
   std::lock_guard<std::mutex> lock(mutex_);
   if (level < level_) return;
   const double ts = clock_ ? clock_() : wall_clock_now();
-  std::string line = format("{\"ts\": %.6f, \"level\": \"%s\", ", ts,
-                            level_name(level));
-  line += "\"kind\": " + quoted(kind) + ", \"msg\": " + quoted(message);
-  for (const Field& f : fields) {
-    line += ", " + quoted(f.key) + ": " + f.json;
-  }
-  line += "}\n";
+  std::string line;
+  json::Writer w(&line);
+  w.begin_object(json::Layout::kInline);
+  w.key("ts").fixed(ts, 6).key("level").value(level_name(level));
+  w.key("kind").value(kind).key("msg").value(message);
+  for (const Field& f : fields) w.key(f.key).raw(f.json);
+  w.end();
+  line += '\n';
   if (capture_ != nullptr) {
     *capture_ += line;
   } else {

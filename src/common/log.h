@@ -52,7 +52,6 @@ struct Field {
 
 Field field(std::string key, std::string_view value);
 Field field(std::string key, const char* value);
-Field field(std::string key, const std::string& value);
 Field field(std::string key, u64 value);
 Field field(std::string key, u32 value);
 Field field(std::string key, i64 value);

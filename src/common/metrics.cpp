@@ -7,7 +7,7 @@
 #include <limits>
 #include <string_view>
 
-#include "common/diag.h"
+#include "common/json.h"
 #include "common/strutil.h"
 
 namespace reese::metrics {
@@ -349,47 +349,9 @@ std::string Registry::prometheus() const {
   return out;
 }
 
-std::string Registry::json() const {
-  const std::vector<Sample> samples = snapshot();
-  std::string out = "{\n  \"metrics\": [\n";
-  for (usize i = 0; i < samples.size(); ++i) {
-    const Sample& sample = samples[i];
-    out += "    {";
-    out += format("\"name\": \"%s\", \"type\": \"%s\", ", sample.name.c_str(),
-                  metric_type_name(sample.type));
-    out += "\"labels\": {";
-    for (usize l = 0; l < sample.labels.size(); ++l) {
-      out += format("%s\"%s\": \"%s\"", l == 0 ? "" : ", ",
-                    sample.labels[l].first.c_str(),
-                    json_escape(sample.labels[l].second).c_str());
-    }
-    out += "}, ";
-    if (sample.type == MetricType::kHistogram) {
-      out += "\"bounds\": [";
-      for (usize b = 0; b < sample.bounds.size(); ++b) {
-        out += format("%s%s", b == 0 ? "" : ", ",
-                      render_value(sample.bounds[b]).c_str());
-      }
-      out += "], \"buckets\": [";
-      for (usize b = 0; b < sample.buckets.size(); ++b) {
-        out += format("%s%llu", b == 0 ? "" : ", ",
-                      static_cast<unsigned long long>(sample.buckets[b]));
-      }
-      out += format("], \"count\": %llu, \"sum\": %s",
-                    static_cast<unsigned long long>(sample.count),
-                    render_value(sample.sum).c_str());
-    } else {
-      out += format("\"value\": %s", render_value(sample.value).c_str());
-    }
-    out += format("}%s\n", i + 1 < samples.size() ? "," : "");
-  }
-  out += "  ]\n}\n";
-  return out;
-}
-
 namespace {
 
-/// Inverse of json_escape (common/diag.h) for label values.
+/// Inverse of json_escape (common/json.h) for label values.
 bool unescape_label_value(std::string_view in, std::string* out) {
   out->clear();
   for (usize i = 0; i < in.size(); ++i) {

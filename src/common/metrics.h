@@ -3,10 +3,9 @@
 // Every layer that wants to be observable — the core's CoreStats, the
 // experiment/campaign grid runners, the reesed service — registers named
 // counters, gauges and histograms here instead of inventing one-off report
-// formats. A registry snapshot serializes two ways:
-//   * Prometheus text exposition (GET /v1/metrics on reesed), so a stock
-//     Prometheus/Grafana stack can scrape a long-lived daemon;
-//   * JSON, for tests and ad-hoc tooling.
+// formats. A registry snapshot serializes as Prometheus text exposition
+// (GET /v1/metrics on reesed), so a stock Prometheus/Grafana stack can
+// scrape a long-lived daemon.
 //
 // Naming convention (enforced by register-time validation):
 //   reese_<subsystem>_<noun>[_<unit>][_total]
@@ -166,9 +165,6 @@ class Registry {
   /// header per family, then one line per label set (histograms expand to
   /// _bucket/_sum/_count series).
   std::string prometheus() const;
-
-  /// JSON: {"metrics": [{name, type, labels{}, value | buckets}...]}.
-  std::string json() const;
 
   usize size() const;
 

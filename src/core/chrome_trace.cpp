@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/diag.h"
+#include "common/json.h"
 #include "common/strutil.h"
 
 namespace reese::core {
@@ -14,18 +14,43 @@ constexpr u32 kPid = 1;
 constexpr u32 kPStreamTid = 0;
 constexpr u32 kRStreamTid = 1;
 
-std::string metadata_event(const char* name, u32 tid, const char* arg_name,
-                           const std::string& arg_value) {
-  return format(
-      "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":%u,\"tid\":%u,"
-      "\"args\":{\"%s\":\"%s\"}}",
-      name, kPid, tid, arg_name, json_escape(arg_value).c_str());
+std::string metadata_event(const char* name, u32 tid, const char* track) {
+  std::string out;
+  json::Writer w(&out);
+  w.begin_object(json::Layout::kCompact).key("name").value(name);
+  w.key("ph").value("M").key("pid").value(kPid).key("tid").value(tid);
+  w.key("args").begin_object(json::Layout::kCompact).key("name").value(track);
+  w.end().end();
+  return out;
 }
 
-std::string slice_args(InstSeq seq, Addr pc, bool spec) {
-  return format("{\"seq\":%llu,\"pc\":\"0x%llx\",\"spec\":%s}",
-                static_cast<unsigned long long>(seq),
-                static_cast<unsigned long long>(pc), spec ? "true" : "false");
+/// One instruction-lifecycle slice ("X") on track `tid`.
+std::string slice_event(const std::string& name, const char* category,
+                        Cycle begin, Cycle end, u32 tid, InstSeq seq, Addr pc,
+                        bool spec) {
+  std::string out;
+  json::Writer w(&out);
+  w.begin_object(json::Layout::kCompact);
+  w.key("name").value(name).key("cat").value(category).key("ph").value("X");
+  w.key("ts").value(begin).key("dur").value(end - begin);
+  w.key("pid").value(kPid).key("tid").value(tid);
+  w.key("args").begin_object(json::Layout::kCompact).key("seq").value(seq);
+  w.key("pc").value(format("0x%llx", static_cast<unsigned long long>(pc)));
+  w.key("spec").value(spec).end().end();
+  return out;
+}
+
+/// One end of a P-to-R flow arrow: phase "s" (start) or "f" (finish,
+/// bound to the enclosing slice).
+std::string flow_event(const char* phase, Cycle ts, u32 tid, u64 id) {
+  std::string out;
+  json::Writer w(&out);
+  w.begin_object(json::Layout::kCompact);
+  w.key("name").value("p-to-r").key("cat").value("flow").key("ph").value(phase);
+  if (phase[0] == 'f') w.key("bp").value("e");
+  w.key("ts").value(ts).key("pid").value(kPid).key("tid").value(tid);
+  w.key("id").value(id).end();
+  return out;
 }
 
 }  // namespace
@@ -44,60 +69,47 @@ void FileTraceSink::write(const std::string& chunk) {
 
 ChromeTraceTracer::ChromeTraceTracer(TraceSink* sink) : sink_(sink) {
   sink_->write("{\"traceEvents\":[\n");
-  emit(metadata_event("process_name", kPStreamTid, "name", "reese-sim"));
-  emit(metadata_event("thread_name", kPStreamTid, "name", "P-stream"));
-  emit(metadata_event("thread_name", kRStreamTid, "name", "R-stream"));
+  emit(metadata_event("process_name", kPStreamTid, "reese-sim"));
+  emit(metadata_event("thread_name", kPStreamTid, "P-stream"));
+  emit(metadata_event("thread_name", kRStreamTid, "R-stream"));
 }
 
 ChromeTraceTracer::~ChromeTraceTracer() { finish(); }
 
 void ChromeTraceTracer::emit(const std::string& event_json) {
-  if (first_event_) {
-    first_event_ = false;
-    sink_->write(event_json);
-  } else {
-    sink_->write(",\n" + event_json);
-  }
-  ++events_emitted_;
+  sink_->write(events_emitted_++ == 0 ? event_json : ",\n" + event_json);
 }
 
 void ChromeTraceTracer::emit_instant(const char* name, Cycle cycle,
                                      InstSeq seq, u32 tid) {
-  emit(format(
-      "{\"name\":\"%s\",\"ph\":\"i\",\"ts\":%llu,\"pid\":%u,\"tid\":%u,"
-      "\"s\":\"t\",\"args\":{\"seq\":%llu}}",
-      name, static_cast<unsigned long long>(cycle), kPid, tid,
-      static_cast<unsigned long long>(seq)));
+  std::string event;
+  json::Writer w(&event);
+  w.begin_object(json::Layout::kCompact).key("name").value(name);
+  w.key("ph").value("i").key("ts").value(cycle);
+  w.key("pid").value(kPid).key("tid").value(tid).key("s").value("t");
+  w.key("args").begin_object(json::Layout::kCompact).key("seq").value(seq);
+  w.end().end();
+  emit(event);
 }
 
 void ChromeTraceTracer::emit_lifecycle(InstSeq seq, const Pending& pending,
                                        Cycle end_cycle, bool squashed) {
-  const std::string name = json_escape(isa::disassemble(pending.inst));
-  const std::string args = slice_args(seq, pending.pc, pending.spec);
+  const std::string name = isa::disassemble(pending.inst);
 
   // P-stream slice: dispatch -> writeback (or wherever the lifecycle
   // stopped). Perfetto wants dur >= 0; same-cycle stages get dur 0.
   const Cycle p_end = pending.complete != 0 ? pending.complete
                       : (end_cycle >= pending.dispatch ? end_cycle
                                                        : pending.dispatch);
-  emit(format(
-      "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%llu,"
-      "\"dur\":%llu,\"pid\":%u,\"tid\":%u,\"args\":%s}",
-      name.c_str(), squashed ? "squashed" : "p-stream",
-      static_cast<unsigned long long>(pending.dispatch),
-      static_cast<unsigned long long>(p_end - pending.dispatch), kPid,
-      kPStreamTid, args.c_str()));
+  emit(slice_event(name, squashed ? "squashed" : "p-stream", pending.dispatch,
+                   p_end, kPStreamTid, seq, pending.pc, pending.spec));
 
   // R-stream slice + flow arrow, only if the instruction was re-executed.
   if (pending.r_issue != 0) {
     const Cycle r_end =
         pending.r_complete != 0 ? pending.r_complete : pending.r_issue;
-    emit(format(
-        "{\"name\":\"%s\",\"cat\":\"r-stream\",\"ph\":\"X\",\"ts\":%llu,"
-        "\"dur\":%llu,\"pid\":%u,\"tid\":%u,\"args\":%s}",
-        name.c_str(), static_cast<unsigned long long>(pending.r_issue),
-        static_cast<unsigned long long>(r_end - pending.r_issue), kPid,
-        kRStreamTid, args.c_str()));
+    emit(slice_event(name, "r-stream", pending.r_issue, r_end, kRStreamTid,
+                     seq, pending.pc, pending.spec));
     // Flow arrow from the P-stream writeback to the R-stream comparison:
     // its length in the UI is the paper's P->R separation. The id must be
     // unique per arrow, so the spec bit is folded in (a wrong-path entry
@@ -105,16 +117,8 @@ void ChromeTraceTracer::emit_lifecycle(InstSeq seq, const Pending& pending,
     const Cycle flow_start = pending.complete != 0 ? pending.complete
                                                    : pending.dispatch;
     const u64 flow_id = key(seq, pending.spec);
-    emit(format(
-        "{\"name\":\"p-to-r\",\"cat\":\"flow\",\"ph\":\"s\",\"ts\":%llu,"
-        "\"pid\":%u,\"tid\":%u,\"id\":%llu}",
-        static_cast<unsigned long long>(flow_start), kPid, kPStreamTid,
-        static_cast<unsigned long long>(flow_id)));
-    emit(format(
-        "{\"name\":\"p-to-r\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\","
-        "\"ts\":%llu,\"pid\":%u,\"tid\":%u,\"id\":%llu}",
-        static_cast<unsigned long long>(r_end), kPid, kRStreamTid,
-        static_cast<unsigned long long>(flow_id)));
+    emit(flow_event("s", flow_start, kPStreamTid, flow_id));
+    emit(flow_event("f", r_end, kRStreamTid, flow_id));
   }
 }
 

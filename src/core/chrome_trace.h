@@ -102,7 +102,6 @@ class ChromeTraceTracer final : public Tracer {
 
   TraceSink* sink_;
   std::unordered_map<u64, Pending> pending_;
-  bool first_event_ = true;
   bool finished_ = false;
   u64 events_emitted_ = 0;
 };

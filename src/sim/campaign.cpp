@@ -8,7 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 
-#include "common/diag.h"
+#include "common/json.h"
 #include "common/snapshot.h"
 #include "common/strutil.h"
 #include "common/thread_pool.h"
@@ -386,101 +386,83 @@ std::string CampaignResult::table() const {
 }
 
 std::string CampaignResult::json() const {
-  std::string out = "{\n";
-  out += "  \"schema\": \"reese-fault-campaign-v1\",\n";
-  out += format("  \"seed\": %llu,\n",
-                static_cast<unsigned long long>(spec.seed));
-  out += format("  \"instructions\": %llu,\n",
-                static_cast<unsigned long long>(spec.instructions));
-  out += format("  \"replicas\": %u,\n", spec.replicas);
-  out += format("  \"rate\": %g,\n", spec.rate);
-  out += format("  \"quick\": %s,\n", spec.quick ? "true" : "false");
-  out += format("  \"total_injections\": %llu,\n",
-                static_cast<unsigned long long>(total_injections()));
-  out += "  \"variants\": [\n";
+  std::string out;
+  json::Writer w(&out);
+  w.begin_object().key("schema").value("reese-fault-campaign-v1");
+  w.key("seed").value(spec.seed);
+  w.key("instructions").value(spec.instructions);
+  w.key("replicas").value(spec.replicas);
+  w.key("rate").significant(spec.rate, 6);
+  w.key("quick").value(spec.quick);
+  w.key("total_injections").value(total_injections());
+  w.key("variants").begin_array();
   for (usize v = 0; v < spec.variants.size(); ++v) {
     const CampaignVariant& variant = spec.variants[v];
     const CampaignCell total = variant_total(v);
     const WilsonInterval ci = wilson_interval(total.detected, total.resolved());
-    out += "    {\n";
-    out += format("      \"label\": \"%s\",\n",
-                  json_escape(variant.label).c_str());
-    out += format("      \"target\": \"%s\",\n",
-                  faults::fault_target_name(variant.target));
-    out += format("      \"site\": \"%s\",\n",
-                  core::fault_site_name(variant.site));
-    out += format("      \"expect_full_coverage\": %s,\n",
-                  variant.expect_full_coverage ? "true" : "false");
-    out += format("      \"expect_zero_coverage\": %s,\n",
-                  variant.expect_zero_coverage ? "true" : "false");
-    out += format("      \"injected\": %llu,\n",
-                  static_cast<unsigned long long>(total.injected));
-    out += format("      \"detected\": %llu,\n",
-                  static_cast<unsigned long long>(total.detected));
-    out += format("      \"undetected\": %llu,\n",
-                  static_cast<unsigned long long>(total.undetected));
-    out += format("      \"pending\": %llu,\n",
-                  static_cast<unsigned long long>(total.pending));
-    out += format("      \"masked\": %llu,\n",
-                  static_cast<unsigned long long>(total.masked));
-    out += format("      \"sdc\": %llu,\n",
-                  static_cast<unsigned long long>(total.sdc));
-    out += format("      \"coverage_loss\": %llu,\n",
-                  static_cast<unsigned long long>(total.coverage_loss));
-    out += format("      \"coverage\": %.6f,\n", total.coverage());
-    out += format("      \"wilson_lower\": %.6f,\n", ci.lower);
-    out += format("      \"wilson_upper\": %.6f,\n", ci.upper);
-    out += format("      \"mean_latency\": %.3f,\n",
-                  safe_ratio(total.latency_sum, total.latency_count));
-    out += format("      \"p95_latency\": %llu,\n",
-                  static_cast<unsigned long long>(
-                      latency_percentile(total, 0.95)));
-    out += format("      \"max_latency\": %llu,\n",
-                  static_cast<unsigned long long>(total.latency_max));
-    out += "      \"by_class\": [\n";
+    w.begin_object().key("label").value(variant.label);
+    w.key("target").value(faults::fault_target_name(variant.target));
+    w.key("site").value(core::fault_site_name(variant.site));
+    w.key("expect_full_coverage").value(variant.expect_full_coverage);
+    w.key("expect_zero_coverage").value(variant.expect_zero_coverage);
+    w.key("injected").value(total.injected);
+    w.key("detected").value(total.detected);
+    w.key("undetected").value(total.undetected);
+    w.key("pending").value(total.pending);
+    w.key("masked").value(total.masked);
+    w.key("sdc").value(total.sdc);
+    w.key("coverage_loss").value(total.coverage_loss);
+    w.key("coverage").fixed(total.coverage(), 6);
+    w.key("wilson_lower").fixed(ci.lower, 6);
+    w.key("wilson_upper").fixed(ci.upper, 6);
+    w.key("mean_latency")
+        .fixed(safe_ratio(total.latency_sum, total.latency_count), 3);
+    w.key("p95_latency").value(latency_percentile(total, 0.95));
+    w.key("max_latency").value(total.latency_max);
+    // by_class puts each comma at the start of the next row
+    // ("\n        ,{...}"), a layout the Writer does not produce. The
+    // benchmark's "campaign json" reference hashes these bytes, so the
+    // array is framed by hand around one inline Writer object per row.
+    w.key("by_class");
+    out += "[\n";
     bool first = true;
     for (usize c = 0; c < kExecClassCount; ++c) {
       const StratumCount& stratum = total.by_class[c];
       if (stratum.injected == 0) continue;
-      out += format("        %s{\"class\": \"%s\", \"injected\": %llu, "
-                    "\"detected\": %llu, \"undetected\": %llu}",
-                    first ? "" : ",", exec_class_label(c),
-                    static_cast<unsigned long long>(stratum.injected),
-                    static_cast<unsigned long long>(stratum.detected),
-                    static_cast<unsigned long long>(stratum.undetected));
-      out += "\n";
+      out += first ? "        " : "        ,";
+      json::Writer row(&out);
+      row.begin_object(json::Layout::kInline);
+      row.key("class").value(exec_class_label(c));
+      row.key("injected").value(stratum.injected);
+      row.key("detected").value(stratum.detected);
+      row.key("undetected").value(stratum.undetected).end();
+      out += '\n';
       first = false;
     }
-    out += "      ],\n";
-    out += "      \"by_side\": {\n";
-    out += format("        \"p\": {\"injected\": %llu, \"detected\": %llu, "
-                  "\"undetected\": %llu},\n",
-                  static_cast<unsigned long long>(total.p_side.injected),
-                  static_cast<unsigned long long>(total.p_side.detected),
-                  static_cast<unsigned long long>(total.p_side.undetected));
-    out += format("        \"r\": {\"injected\": %llu, \"detected\": %llu, "
-                  "\"undetected\": %llu}\n",
-                  static_cast<unsigned long long>(total.r_side.injected),
-                  static_cast<unsigned long long>(total.r_side.detected),
-                  static_cast<unsigned long long>(total.r_side.undetected));
-    out += "      },\n";
-    out += "      \"workloads\": [\n";
-    for (usize w = 0; w < spec.workloads.size(); ++w) {
-      const CampaignCell wl = workload_total(v, w);
-      out += format("        {\"workload\": \"%s\", \"injected\": %llu, "
-                    "\"detected\": %llu, \"undetected\": %llu, "
-                    "\"coverage\": %.6f}%s\n",
-                    json_escape(spec.workloads[w]).c_str(),
-                    static_cast<unsigned long long>(wl.injected),
-                    static_cast<unsigned long long>(wl.detected),
-                    static_cast<unsigned long long>(wl.undetected),
-                    wl.coverage(), w + 1 < spec.workloads.size() ? "," : "");
+    out += "      ]";
+    w.key("by_side").begin_object();
+    for (const auto& [name, side] :
+         {std::pair{"p", &total.p_side}, std::pair{"r", &total.r_side}}) {
+      w.key(name).begin_object(json::Layout::kInline);
+      w.key("injected").value(side->injected);
+      w.key("detected").value(side->detected);
+      w.key("undetected").value(side->undetected).end();
     }
-    out += "      ]\n";
-    out += format("    }%s\n", v + 1 < spec.variants.size() ? "," : "");
+    w.end();
+    w.key("workloads").begin_array();
+    for (usize i = 0; i < spec.workloads.size(); ++i) {
+      const CampaignCell workload = workload_total(v, i);
+      w.begin_object(json::Layout::kInline);
+      w.key("workload").value(spec.workloads[i]);
+      w.key("injected").value(workload.injected);
+      w.key("detected").value(workload.detected);
+      w.key("undetected").value(workload.undetected);
+      w.key("coverage").fixed(workload.coverage(), 6).end();
+    }
+    w.end().end();
   }
-  out += "  ]\n";
-  out += "}\n";
+  w.end().end();
+  out += '\n';
   return out;
 }
 

@@ -8,7 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 
-#include "common/diag.h"
+#include "common/json.h"
 #include "common/snapshot.h"
 #include "common/strutil.h"
 #include "common/thread_pool.h"
@@ -127,69 +127,52 @@ std::string ExperimentResult::csv() const {
 }
 
 std::string ExperimentResult::json() const {
-  std::string out = "{\n";
-  out += "  \"schema\": \"reese-experiment-v1\",\n";
-  out += format("  \"title\": \"%s\",\n", json_escape(spec.title).c_str());
-  out += format("  \"instructions\": %llu,\n",
-                static_cast<unsigned long long>(spec.instructions));
-  out += format("  \"seed\": %llu,\n",
-                static_cast<unsigned long long>(spec.seed));
-  out += "  \"extra_seeds\": [";
-  for (usize s = 0; s < spec.extra_seeds.size(); ++s) {
-    out += format("%s%llu", s == 0 ? "" : ", ",
-                  static_cast<unsigned long long>(spec.extra_seeds[s]));
-  }
-  out += "],\n";
-  out += "  \"workloads\": [";
-  for (usize w = 0; w < spec.workloads.size(); ++w) {
-    out += format("%s\"%s\"", w == 0 ? "" : ", ",
-                  json_escape(spec.workloads[w]).c_str());
-  }
-  out += "],\n";
-  out += "  \"models\": [";
-  for (usize m = 0; m < spec.models.size(); ++m) {
-    out += format("%s\"%s\"", m == 0 ? "" : ", ",
-                  model_slug(spec.models[m]));
-  }
-  out += "],\n";
-  const auto append_matrix =
-      [&out](const char* key, const std::vector<std::vector<double>>& matrix) {
-        out += format("  \"%s\": [\n", key);
-        for (usize w = 0; w < matrix.size(); ++w) {
-          out += "    [";
-          for (usize m = 0; m < matrix[w].size(); ++m) {
-            out += format("%s%.6f", m == 0 ? "" : ", ", matrix[w][m]);
-          }
-          out += format("]%s\n", w + 1 < matrix.size() ? "," : "");
+  std::string out;
+  json::Writer w(&out);
+  w.begin_object().key("schema").value("reese-experiment-v1");
+  w.key("title").value(spec.title);
+  w.key("instructions").value(spec.instructions);
+  w.key("seed").value(spec.seed);
+  w.key("extra_seeds").begin_array(json::Layout::kInline);
+  for (u64 seed : spec.extra_seeds) w.value(seed);
+  w.end();
+  w.key("workloads").begin_array(json::Layout::kInline);
+  for (const std::string& workload : spec.workloads) w.value(workload);
+  w.end();
+  w.key("models").begin_array(json::Layout::kInline);
+  for (Model model : spec.models) w.value(model_slug(model));
+  w.end();
+  const auto write_matrix =
+      [&w](const char* key, const std::vector<std::vector<double>>& matrix) {
+        w.key(key).begin_array();
+        for (const std::vector<double>& row : matrix) {
+          w.begin_array(json::Layout::kInline);
+          for (double value : row) w.fixed(value, 6);
+          w.end();
         }
-        out += "  ],\n";
+        w.end();
       };
-  append_matrix("ipc", ipc);
-  append_matrix("ipc_stdev", ipc_stdev);
-  out += "  \"average\": [";
-  for (usize m = 0; m < spec.models.size(); ++m) {
-    out += format("%s%.6f", m == 0 ? "" : ", ", average(m));
-  }
-  out += "],\n";
-  out += "  \"cells\": [\n";
-  for (usize w = 0; w < cells.size(); ++w) {
-    out += "    [\n";
-    for (usize m = 0; m < cells[w].size(); ++m) {
-      out += "      [";
-      for (usize s = 0; s < cells[w][m].size(); ++s) {
-        const ExperimentCell& cell = cells[w][m][s];
-        out += format(
-            "%s{\"ipc\": %.6f, \"cycles\": %llu, \"committed\": %llu}",
-            s == 0 ? "" : ", ", cell.ipc,
-            static_cast<unsigned long long>(cell.cycles),
-            static_cast<unsigned long long>(cell.committed));
+  write_matrix("ipc", ipc);
+  write_matrix("ipc_stdev", ipc_stdev);
+  w.key("average").begin_array(json::Layout::kInline);
+  for (usize m = 0; m < spec.models.size(); ++m) w.fixed(average(m), 6);
+  w.end();
+  w.key("cells").begin_array();
+  for (const auto& row : cells) {
+    w.begin_array();
+    for (const std::vector<ExperimentCell>& seeds : row) {
+      w.begin_array(json::Layout::kInline);
+      for (const ExperimentCell& cell : seeds) {
+        w.begin_object(json::Layout::kInline).key("ipc").fixed(cell.ipc, 6);
+        w.key("cycles").value(cell.cycles);
+        w.key("committed").value(cell.committed).end();
       }
-      out += format("]%s\n", m + 1 < cells[w].size() ? "," : "");
+      w.end();
     }
-    out += format("    ]%s\n", w + 1 < cells.size() ? "," : "");
+    w.end();
   }
-  out += "  ]\n";
-  out += "}\n";
+  w.end().end();
+  out += '\n';
   return out;
 }
 

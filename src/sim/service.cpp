@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/diag.h"
 #include "common/json.h"
 #include "common/strutil.h"
 #include "workloads/workload.h"
@@ -29,9 +28,18 @@ http::Response json_response(int status, std::string body) {
   return http::Response{status, "application/json", std::move(body)};
 }
 
+/// `{"<key>": <value>}` and a newline: the error and bare-id bodies.
+template <typename T>
+std::string one_member_body(std::string_view key, const T& value) {
+  std::string body;
+  json::Writer w(&body);
+  w.begin_object(json::Layout::kInline).key(key).value(value).end();
+  body += '\n';
+  return body;
+}
+
 http::Response error_response(int status, const std::string& message) {
-  return json_response(
-      status, format("{\"error\": \"%s\"}\n", json_escape(message).c_str()));
+  return json_response(status, one_member_body("error", message));
 }
 
 bool known_workload(const std::string& name) {
@@ -279,26 +287,22 @@ http::Response SimulationService::handle(const http::Request& request) {
 }
 
 std::string SimulationService::job_status_json(const Job& job) {
-  std::string out = "{\n";
-  out += format("  \"id\": %llu,\n", static_cast<unsigned long long>(job.id));
-  out += format("  \"kind\": \"%s\",\n",
-                job.is_campaign ? "campaign" : "experiment");
-  out += format("  \"state\": \"%s\",\n", job_state_name(job.state));
-  out += format("  \"timeout_s\": %g,\n", job.timeout_s);
-  if (job.trace.valid()) {
-    out += format("  \"trace\": \"%s\",\n", job.trace.header_value().c_str());
-  }
-  if (job.state == JobState::kFailed) {
-    out += format("  \"error\": \"%s\",\n", json_escape(job.error).c_str());
-  }
+  std::string out;
+  json::Writer w(&out);
+  w.begin_object().key("id").value(job.id);
+  w.key("kind").value(job.is_campaign ? "campaign" : "experiment");
+  w.key("state").value(job_state_name(job.state));
+  w.key("timeout_s").significant(job.timeout_s, 6);
+  if (job.trace.valid()) w.key("trace").value(job.trace.header_value());
+  if (job.state == JobState::kFailed) w.key("error").value(job.error);
   if (job.state == JobState::kDone) {
-    out += format("  \"committed\": %llu,\n",
-                  static_cast<unsigned long long>(job.committed));
-    out += format("  \"wall_seconds\": %.6f,\n", job.wall_seconds);
+    w.key("committed").value(job.committed);
+    w.key("wall_seconds").fixed(job.wall_seconds, 6);
   }
-  out += format("  \"result\": \"/v1/jobs/%llu/result\"\n",
-                static_cast<unsigned long long>(job.id));
-  out += "}\n";
+  w.key("result").value(format("/v1/jobs/%llu/result",
+                               static_cast<unsigned long long>(job.id)));
+  w.end();
+  out += '\n';
   return out;
 }
 
@@ -552,10 +556,8 @@ http::Response SimulationService::submit(const http::Request& request,
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);
   // The job may already have started (or even finished) on a worker.
-  return json_response(202, it != jobs_.end()
-                                ? job_status_json(it->second)
-                                : format("{\"id\": %llu}\n",
-                                         static_cast<unsigned long long>(id)));
+  return json_response(202, it != jobs_.end() ? job_status_json(it->second)
+                                               : one_member_body("id", id));
 }
 
 http::Response SimulationService::job_status(u64 id) {
@@ -601,39 +603,33 @@ http::Response SimulationService::job_progress(u64 id) {
   const double kips =
       elapsed_s > 0.0 ? committed / elapsed_s / 1000.0 : 0.0;
 
-  std::string out = "{\n";
-  out += format("  \"id\": %llu,\n", static_cast<unsigned long long>(job.id));
-  out += format("  \"state\": \"%s\",\n", job_state_name(job.state));
-  if (job.trace.valid()) {
-    out += format("  \"trace\": \"%s\",\n", job.trace.header_value().c_str());
-  }
-  out += format("  \"cells_done\": %llu,\n",
-                static_cast<unsigned long long>(cells_done));
-  out += format("  \"cells_total\": %llu,\n",
-                static_cast<unsigned long long>(cells_total));
-  out += format("  \"committed\": %llu,\n",
-                static_cast<unsigned long long>(committed));
+  std::string out;
+  json::Writer w(&out);
+  w.begin_object().key("id").value(job.id);
+  w.key("state").value(job_state_name(job.state));
+  if (job.trace.valid()) w.key("trace").value(job.trace.header_value());
+  w.key("cells_done").value(cells_done);
+  w.key("cells_total").value(cells_total);
+  w.key("committed").value(committed);
   if (!job.shards.empty()) {
-    out += "  \"shards\": [\n";
+    w.key("shards").begin_array();
     for (usize s = 0; s < job.shards.size(); ++s) {
       const ShardProgressUpdate& shard = job.shards[s];
-      out += format(
-          "    {\"shard\": %zu, \"replica_begin\": %u, \"replicas\": %u, "
-          "\"state\": \"%s\", \"worker\": \"%s\", \"cells_done\": %llu, "
-          "\"cells_total\": %llu, \"committed\": %llu, \"kips\": %.3f, "
-          "\"dispatches\": %u}%s\n",
-          s, shard.replica_begin, shard.replicas, shard.state,
-          json_escape(shard.worker).c_str(),
-          static_cast<unsigned long long>(shard.cells_done),
-          static_cast<unsigned long long>(shard.cells_total),
-          static_cast<unsigned long long>(shard.committed), shard.kips,
-          shard.dispatches, s + 1 < job.shards.size() ? "," : "");
+      w.begin_object(json::Layout::kInline).key("shard").value(s);
+      w.key("replica_begin").value(shard.replica_begin);
+      w.key("replicas").value(shard.replicas).key("state").value(shard.state);
+      w.key("worker").value(shard.worker);
+      w.key("cells_done").value(shard.cells_done);
+      w.key("cells_total").value(shard.cells_total);
+      w.key("committed").value(shard.committed);
+      w.key("kips").fixed(shard.kips, 3);
+      w.key("dispatches").value(shard.dispatches).end();
     }
-    out += "  ],\n";
+    w.end();
   }
-  out += format("  \"elapsed_s\": %.6f,\n", elapsed_s);
-  out += format("  \"kips\": %.3f\n", kips);
-  out += "}\n";
+  w.key("elapsed_s").fixed(elapsed_s, 6);
+  w.key("kips").fixed(kips, 3).end();
+  out += '\n';
   return json_response(200, out);
 }
 
@@ -703,29 +699,22 @@ http::Response SimulationService::job_result(u64 id,
 
 http::Response SimulationService::stats_response() {
   const ServiceStats stats = this->stats();
-  std::string out = "{\n";
-  out += format("  \"queue_depth\": %zu,\n", stats.queue_depth);
-  out += format("  \"running\": %u,\n", stats.running);
-  out += format("  \"queue_capacity\": %zu,\n", queue_.capacity());
-  out += format("  \"workers\": %u,\n", queue_.worker_count());
-  out += format("  \"submitted\": %llu,\n",
-                static_cast<unsigned long long>(stats.submitted));
-  out += format("  \"completed\": %llu,\n",
-                static_cast<unsigned long long>(stats.completed));
-  out += format("  \"timeouts\": %llu,\n",
-                static_cast<unsigned long long>(stats.timeouts));
-  out += format("  \"failed\": %llu,\n",
-                static_cast<unsigned long long>(stats.failed));
-  out += format("  \"rejected_queue_full\": %llu,\n",
-                static_cast<unsigned long long>(stats.rejected_queue_full));
-  out += format("  \"rejected_quota\": %llu,\n",
-                static_cast<unsigned long long>(stats.rejected_quota));
-  out += format("  \"total_committed_instructions\": %llu,\n",
-                static_cast<unsigned long long>(stats.total_committed));
-  out += format("  \"total_wall_seconds\": %.6f,\n",
-                stats.total_wall_seconds);
-  out += format("  \"cumulative_kips\": %.3f\n", stats.kips());
-  out += "}\n";
+  std::string out;
+  json::Writer w(&out);
+  w.begin_object().key("queue_depth").value(stats.queue_depth);
+  w.key("running").value(stats.running);
+  w.key("queue_capacity").value(queue_.capacity());
+  w.key("workers").value(queue_.worker_count());
+  w.key("submitted").value(stats.submitted);
+  w.key("completed").value(stats.completed);
+  w.key("timeouts").value(stats.timeouts);
+  w.key("failed").value(stats.failed);
+  w.key("rejected_queue_full").value(stats.rejected_queue_full);
+  w.key("rejected_quota").value(stats.rejected_quota);
+  w.key("total_committed_instructions").value(stats.total_committed);
+  w.key("total_wall_seconds").fixed(stats.total_wall_seconds, 6);
+  w.key("cumulative_kips").fixed(stats.kips(), 3).end();
+  out += '\n';
   return json_response(200, out);
 }
 

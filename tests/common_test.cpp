@@ -815,5 +815,158 @@ TEST(Json, RejectsPathologicalNesting) {
   EXPECT_FALSE(json::parse_json(deep).ok());
 }
 
+// --- json::Writer (DESIGN.md §19) ---------------------------------------------
+// Every value kind read back through the parser, and the exact bytes of each
+// layout.
+
+/// Write `value` as the only element of an inline array and parse it back.
+template <typename Write>
+json::Value written(Write write) {
+  std::string out;
+  json::Writer w(&out);
+  w.begin_array(json::Layout::kInline);
+  write(w);
+  w.end();
+  Result<json::Value> parsed = json::parse_json(out);
+  EXPECT_TRUE(parsed.ok()) << out;
+  EXPECT_EQ(parsed.value().array.size(), 1u) << out;
+  return parsed.value().array.at(0);
+}
+
+TEST(JsonWriter, StringsEscapeAndRoundTrip) {
+  const std::string utf8 = "h\xc3\xa9llo \xe2\x9c\x93";  // passed through
+  const std::string text =
+      std::string("q\"b\\n\nt\tr\r") + '\x01' + '\x1f' + utf8;
+  std::string out;
+  json::Writer(&out).value(text);
+  EXPECT_EQ(out, "\"q\\\"b\\\\n\\nt\\tr\\r\\u0001\\u001f" + utf8 + "\"");
+  EXPECT_EQ(written([&](json::Writer& w) { w.value(text); }).string, text);
+
+  std::string object;
+  json::Writer w(&object);
+  w.begin_object(json::Layout::kInline).key("k\"ey").value("v").end();
+  EXPECT_EQ(object, "{\"k\\\"ey\": \"v\"}");
+  EXPECT_EQ(json::parse_json(object).value().find("k\"ey")->string, "v");
+}
+
+TEST(JsonWriter, IntegersAndBoolsAreExact) {
+  const json::Value max =
+      written([](json::Writer& w) { w.value(UINT64_MAX); });
+  ASSERT_TRUE(max.is_integer);
+  EXPECT_EQ(max.uint_value, UINT64_MAX);  // 2^64-1 does not fit a double
+  const json::Value min =
+      written([](json::Writer& w) { w.value(INT64_MIN); });
+  ASSERT_TRUE(min.is_integer);
+  EXPECT_EQ(min.int_value, INT64_MIN);
+  EXPECT_EQ(written([](json::Writer& w) { w.value(u32{7}); }).uint_value, 7u);
+  EXPECT_EQ(written([](json::Writer& w) { w.value(-3); }).int_value, -3);
+  EXPECT_TRUE(written([](json::Writer& w) { w.value(true); }).boolean);
+  EXPECT_FALSE(written([](json::Writer& w) { w.value(false); }).boolean);
+
+  std::string out;
+  json::Writer w(&out);
+  w.begin_array(json::Layout::kCompact);
+  w.value(UINT64_MAX).value(INT64_MIN).value(usize{0}).value(true);
+  w.end();
+  EXPECT_EQ(out, "[18446744073709551615,-9223372036854775808,0,true]");
+}
+
+TEST(JsonWriter, DoublesTakeAnExplicitPrecision) {
+  const auto bytes = [](auto write) {
+    std::string out;
+    json::Writer w(&out);
+    write(w);
+    return out;
+  };
+  EXPECT_EQ(bytes([](json::Writer& w) { w.fixed(1.5, 6); }), "1.500000");
+  EXPECT_EQ(bytes([](json::Writer& w) { w.fixed(2.0 / 3.0, 3); }), "0.667");
+  EXPECT_EQ(bytes([](json::Writer& w) { w.significant(0.01, 6); }), "0.01");
+  EXPECT_EQ(bytes([](json::Writer& w) { w.significant(300.0, 6); }), "300");
+  EXPECT_EQ(bytes([](json::Writer& w) { w.significant(1e-5, 6); }), "1e-05");
+  EXPECT_EQ(bytes([](json::Writer& w) { w.significant(0.1, 17); }),
+            "0.10000000000000001");
+  EXPECT_EQ(written([](json::Writer& w) { w.significant(0.1, 17); }).number,
+            0.1);
+  EXPECT_DOUBLE_EQ(
+      written([](json::Writer& w) { w.fixed(1234.5678, 4); }).number,
+      1234.5678);
+
+  // A non-finite double is null under either precision kind.
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_EQ(bytes([bad](json::Writer& w) { w.fixed(bad, 6); }), "null");
+    EXPECT_EQ(bytes([bad](json::Writer& w) { w.significant(bad, 9); }),
+              "null");
+    EXPECT_TRUE(written([bad](json::Writer& w) { w.fixed(bad, 3); }).is_null());
+  }
+}
+
+TEST(JsonWriter, BlockLayoutIndentsAndCollapsesEmptyContainers) {
+  std::string out;
+  json::Writer w(&out);
+  w.begin_object();
+  w.key("empty_list").begin_array().end();
+  w.key("empty_map").begin_object().end();
+  w.key("outer").begin_object();
+  w.key("inner").begin_array();
+  w.value(1).value(2);
+  w.end();
+  w.end();
+  w.key("row").begin_array(json::Layout::kInline);
+  w.value("a").value("b");
+  w.end();
+  w.end();
+  EXPECT_EQ(out,
+            "{\n"
+            "  \"empty_list\": [],\n"
+            "  \"empty_map\": {},\n"
+            "  \"outer\": {\n"
+            "    \"inner\": [\n"
+            "      1,\n"
+            "      2\n"
+            "    ]\n"
+            "  },\n"
+            "  \"row\": [\"a\", \"b\"]\n"
+            "}");
+  EXPECT_TRUE(json::parse_json(out).ok());
+
+  std::string empty;
+  json::Writer(&empty).begin_object().end();
+  EXPECT_EQ(empty, "{}");
+}
+
+TEST(JsonWriter, InlineInsideCompactAndRawValues) {
+  // The fleet timeline shape: a compact event whose args object is an
+  // inline object rendered by another Writer.
+  std::string args;
+  json::Writer a(&args);
+  a.begin_object(json::Layout::kInline);
+  a.key("shard").value(0);
+  a.key("worker").value("h:1");
+  a.end();
+  EXPECT_EQ(args, "{\"shard\": 0, \"worker\": \"h:1\"}");
+
+  std::string event;
+  json::Writer w(&event);
+  w.begin_object(json::Layout::kCompact);
+  w.key("name").value("run");
+  w.key("ts").value(5);
+  w.key("args").raw(args);
+  w.key("nested").begin_object(json::Layout::kInline);
+  w.key("x").value(1);
+  w.key("y").begin_array(json::Layout::kInline).end();
+  w.end();
+  w.key("list").begin_array(json::Layout::kCompact);
+  w.value(1).value(2);
+  w.end();
+  w.end();
+  EXPECT_EQ(event,
+            "{\"name\":\"run\",\"ts\":5,"
+            "\"args\":{\"shard\": 0, \"worker\": \"h:1\"},"
+            "\"nested\":{\"x\": 1, \"y\": []},\"list\":[1,2]}");
+  const Result<json::Value> parsed = json::parse_json(event);
+  ASSERT_TRUE(parsed.ok()) << event;
+  EXPECT_EQ(parsed.value().find("args")->find("worker")->string, "h:1");
+}
+
 }  // namespace
 }  // namespace reese

@@ -1,12 +1,11 @@
 // Metrics registry tests (common/metrics.h): naming discipline, label-set
-// identity, lock-free mutation under contention, and both serializations
-// (Prometheus text exposition, JSON).
+// identity, lock-free mutation under contention, and the Prometheus text
+// exposition.
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
-#include "common/json.h"
 #include "common/metrics.h"
 
 namespace reese {
@@ -179,36 +178,6 @@ TEST(Metrics, PrometheusExposition) {
   EXPECT_GT(lines, 10u);
 }
 
-TEST(Metrics, JsonSerializationRoundTrips) {
-  Registry registry;
-  registry.counter("reese_test_events_total", {{"kind", "squash"}})->inc(7);
-  registry.gauge("reese_test_ipc")->set(1.25);
-  registry.histogram("reese_test_sep", {2.0, 4.0})->observe(3.0);
-
-  const std::string body = registry.json();
-  EXPECT_TRUE(json::parse_json(body).ok()) << body;
-  const Result<json::Value> parsed = json::parse_json(body);
-  ASSERT_TRUE(parsed.ok());
-  const json::Value* list = parsed.value().find("metrics");
-  ASSERT_NE(list, nullptr);
-  ASSERT_TRUE(list->is_array());
-  ASSERT_EQ(list->array.size(), 3u);
-  // snapshot() sorts by name, so the order is deterministic.
-  const json::Value& counter = list->array[0];
-  EXPECT_EQ(counter.find("name")->string, "reese_test_events_total");
-  EXPECT_EQ(counter.find("type")->string, "counter");
-  EXPECT_EQ(counter.find("labels")->find("kind")->string, "squash");
-  EXPECT_EQ(counter.find("value")->uint_value, 7u);
-  const json::Value& gauge = list->array[1];
-  EXPECT_EQ(gauge.find("name")->string, "reese_test_ipc");
-  EXPECT_DOUBLE_EQ(gauge.find("value")->number, 1.25);
-  const json::Value& histogram = list->array[2];
-  EXPECT_EQ(histogram.find("type")->string, "histogram");
-  EXPECT_EQ(histogram.find("count")->uint_value, 1u);
-  ASSERT_EQ(histogram.find("buckets")->array.size(), 3u);
-  EXPECT_EQ(histogram.find("buckets")->array[1].uint_value, 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Federation: merge_from + parse_prometheus (DESIGN.md §17). The
 // coordinator scrapes every worker's /v1/metrics, parses the text back to
@@ -329,7 +298,6 @@ TEST(Metrics, FederatedExportIsOrderInvariantAndDeterministic) {
   ASSERT_TRUE(reverse.merge_from(w2, {{"worker", "b:2"}}, &error));
   ASSERT_TRUE(reverse.merge_from(w1, {{"worker", "a:1"}}, &error));
   EXPECT_EQ(forward.prometheus(), reverse.prometheus());
-  EXPECT_EQ(forward.json(), reverse.json());
 }
 
 TEST(Metrics, ParsePrometheusRoundTripsByteIdentically) {
