@@ -92,31 +92,33 @@ void ChromeTraceTracer::emit_instant(const char* name, Cycle cycle,
   emit(event);
 }
 
-void ChromeTraceTracer::emit_lifecycle(InstSeq seq, const Pending& pending,
-                                       Cycle end_cycle, bool squashed) {
-  const std::string name = isa::disassemble(pending.inst);
+void ChromeTraceTracer::emit_lifecycle(const Lifecycle& lifecycle,
+                                       Cycle end_cycle) {
+  const std::string name = isa::disassemble(lifecycle.inst);
+  const InstSeq seq = lifecycle.seq;
 
   // P-stream slice: dispatch -> writeback (or wherever the lifecycle
   // stopped). Perfetto wants dur >= 0; same-cycle stages get dur 0.
-  const Cycle p_end = pending.complete != 0 ? pending.complete
-                      : (end_cycle >= pending.dispatch ? end_cycle
-                                                       : pending.dispatch);
-  emit(slice_event(name, squashed ? "squashed" : "p-stream", pending.dispatch,
-                   p_end, kPStreamTid, seq, pending.pc, pending.spec));
+  const Cycle p_end = lifecycle.complete != 0 ? lifecycle.complete
+                      : (end_cycle >= lifecycle.dispatch ? end_cycle
+                                                         : lifecycle.dispatch);
+  emit(slice_event(name, lifecycle.squashed ? "squashed" : "p-stream",
+                   lifecycle.dispatch, p_end, kPStreamTid, seq, lifecycle.pc,
+                   lifecycle.spec));
 
   // R-stream slice + flow arrow, only if the instruction was re-executed.
-  if (pending.r_issue != 0) {
+  if (lifecycle.r_issue != 0) {
     const Cycle r_end =
-        pending.r_complete != 0 ? pending.r_complete : pending.r_issue;
-    emit(slice_event(name, "r-stream", pending.r_issue, r_end, kRStreamTid,
-                     seq, pending.pc, pending.spec));
+        lifecycle.r_complete != 0 ? lifecycle.r_complete : lifecycle.r_issue;
+    emit(slice_event(name, "r-stream", lifecycle.r_issue, r_end, kRStreamTid,
+                     seq, lifecycle.pc, lifecycle.spec));
     // Flow arrow from the P-stream writeback to the R-stream comparison:
     // its length in the UI is the paper's P->R separation. The id must be
     // unique per arrow, so the spec bit is folded in (a wrong-path entry
     // can share its seq with a true-path instruction).
-    const Cycle flow_start = pending.complete != 0 ? pending.complete
-                                                   : pending.dispatch;
-    const u64 flow_id = key(seq, pending.spec);
+    const Cycle flow_start = lifecycle.complete != 0 ? lifecycle.complete
+                                                     : lifecycle.dispatch;
+    const u64 flow_id = lifecycle_key(seq, lifecycle.spec);
     emit(flow_event("s", flow_start, kPStreamTid, flow_id));
     emit(flow_event("f", r_end, kRStreamTid, flow_id));
   }
@@ -124,52 +126,27 @@ void ChromeTraceTracer::emit_lifecycle(InstSeq seq, const Pending& pending,
 
 void ChromeTraceTracer::record(const TraceEvent& event) {
   if (finished_) return;
-  const u64 k = key(event.seq, event.spec);
-  switch (event.kind) {
-    case TraceKind::kDispatch: {
-      Pending pending;
-      pending.pc = event.pc;
-      pending.inst = event.inst;
-      pending.spec = event.spec;
-      pending.dispatch = event.cycle;
-      pending_[k] = pending;
-      return;
-    }
-    case TraceKind::kIssue:
-    case TraceKind::kComplete:
-    case TraceKind::kRelease:
-    case TraceKind::kRIssue:
-    case TraceKind::kRComplete: {
-      auto it = pending_.find(k);
-      if (it == pending_.end()) return;
-      Pending& pending = it->second;
-      switch (event.kind) {
-        case TraceKind::kIssue: pending.issue = event.cycle; break;
-        case TraceKind::kComplete: pending.complete = event.cycle; break;
-        case TraceKind::kRelease: pending.release = event.cycle; break;
-        case TraceKind::kRIssue: pending.r_issue = event.cycle; break;
-        case TraceKind::kRComplete: pending.r_complete = event.cycle; break;
-        default: break;
-      }
-      return;
-    }
-    case TraceKind::kCommit:
-    case TraceKind::kSquash: {
-      auto it = pending_.find(k);
-      if (it == pending_.end()) return;
-      emit_lifecycle(event.seq, it->second, event.cycle,
-                     event.kind == TraceKind::kSquash);
-      if (event.kind == TraceKind::kSquash) {
-        emit_instant("squash", event.cycle, event.seq, kPStreamTid);
-      }
-      pending_.erase(it);
-      return;
-    }
-    case TraceKind::kError:
-      // Errors are detected at comparison time, on the R track.
-      emit_instant("error-detected", event.cycle, event.seq, kRStreamTid);
-      return;
+  const u64 k = lifecycle_key(event.seq, event.spec);
+  if (event.kind == TraceKind::kDispatch) {
+    pending_[k].apply(event);
+    return;
   }
+  if (event.kind == TraceKind::kError) {
+    // Errors are detected at comparison time, on the R track.
+    emit_instant("error-detected", event.cycle, event.seq, kRStreamTid);
+    return;
+  }
+  const auto it = pending_.find(k);
+  if (it == pending_.end()) return;
+  it->second.apply(event);
+  if (event.kind != TraceKind::kCommit && event.kind != TraceKind::kSquash) {
+    return;
+  }
+  emit_lifecycle(it->second, event.cycle);
+  if (event.kind == TraceKind::kSquash) {
+    emit_instant("squash", event.cycle, event.seq, kPStreamTid);
+  }
+  pending_.erase(it);
 }
 
 void ChromeTraceTracer::finish() {
@@ -178,12 +155,11 @@ void ChromeTraceTracer::finish() {
   // deterministic order for reproducible output.
   std::vector<u64> keys;
   keys.reserve(pending_.size());
-  for (const auto& [k, pending] : pending_) keys.push_back(k);
+  for (const auto& [k, lifecycle] : pending_) keys.push_back(k);
   std::sort(keys.begin(), keys.end());
   for (u64 k : keys) {
-    const Pending& pending = pending_.at(k);
-    emit_lifecycle(static_cast<InstSeq>(k >> 1), pending, pending.dispatch,
-                   false);
+    const Lifecycle& lifecycle = pending_.at(k);
+    emit_lifecycle(lifecycle, lifecycle.dispatch);
   }
   pending_.clear();
   sink_->write("\n]}\n");
@@ -191,7 +167,7 @@ void ChromeTraceTracer::finish() {
 }
 
 void SamplingTracer::record(const TraceEvent& event) {
-  const u64 k = key(event.seq, event.spec);
+  const u64 k = lifecycle_key(event.seq, event.spec);
   if (event.kind == TraceKind::kDispatch) {
     const bool in_window =
         event.cycle >= first_cycle_ &&
@@ -201,7 +177,7 @@ void SamplingTracer::record(const TraceEvent& event) {
       ++dropped_;
       return;
     }
-    live_[k] = 0;
+    live_.insert(k);
     ++forwarded_;
     inner_->record(event);
     return;

@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "core/trace.h"
 
@@ -78,30 +79,14 @@ class ChromeTraceTracer final : public Tracer {
   u64 events_emitted() const { return events_emitted_; }
 
  private:
-  struct Pending {
-    Addr pc = 0;
-    isa::Instruction inst;
-    bool spec = false;
-    Cycle dispatch = 0;
-    Cycle issue = 0;
-    Cycle complete = 0;
-    Cycle release = 0;
-    Cycle r_issue = 0;
-    Cycle r_complete = 0;
-  };
-
-  static u64 key(InstSeq seq, bool spec) {
-    return (static_cast<u64>(seq) << 1) | (spec ? 1 : 0);
-  }
-
   void emit(const std::string& event_json);
-  /// Write the slices/flows/instants for one finished lifecycle.
-  void emit_lifecycle(InstSeq seq, const Pending& pending, Cycle end_cycle,
-                      bool squashed);
+  /// Write the slices/flows for one finished (or cut-off) lifecycle.
+  void emit_lifecycle(const Lifecycle& lifecycle, Cycle end_cycle);
   void emit_instant(const char* name, Cycle cycle, InstSeq seq, u32 tid);
 
   TraceSink* sink_;
-  std::unordered_map<u64, Pending> pending_;
+  /// In-flight lifecycles by lifecycle_key.
+  std::unordered_map<u64, Lifecycle> pending_;
   bool finished_ = false;
   u64 events_emitted_ = 0;
 };
@@ -127,16 +112,12 @@ class SamplingTracer final : public Tracer {
   u64 dropped() const { return dropped_; }
 
  private:
-  static u64 key(InstSeq seq, bool spec) {
-    return (static_cast<u64>(seq) << 1) | (spec ? 1 : 0);
-  }
-
   Tracer* inner_;
   u64 every_n_;
   Cycle first_cycle_;
   Cycle last_cycle_;
-  /// Lifecycles selected at dispatch and not yet retired.
-  std::unordered_map<u64, u64> live_;  ///< key -> remaining-events guess (unused value)
+  /// lifecycle_keys selected at dispatch and not yet retired.
+  std::unordered_set<u64> live_;
   u64 forwarded_ = 0;
   u64 dropped_ = 0;
 };

@@ -19,27 +19,15 @@ const char* trace_kind_name(TraceKind kind) {
   return "?";
 }
 
-TimelineTracer::Row* TimelineTracer::find(InstSeq seq, bool spec) {
-  const auto it = index_.find(index_key(seq, spec));
-  if (it == index_.end()) return nullptr;
-  return &rows_[it->second - evicted_];
-}
-
 void TimelineTracer::record(const TraceEvent& event) {
   ++events_seen_;
   if (event.kind == TraceKind::kDispatch) {
-    Row row;
-    row.seq = event.seq;
-    row.pc = event.pc;
-    row.inst = event.inst;
-    row.spec = event.spec;
-    row.dispatch = event.cycle;
     // Most recent row wins the index slot (wrong-path seqs recur).
-    index_[index_key(row.seq, row.spec)] = evicted_ + rows_.size();
-    rows_.push_back(row);
+    index_[lifecycle_key(event.seq, event.spec)] = evicted_ + rows_.size();
+    rows_.emplace_back().apply(event);
     if (rows_.size() > capacity_) {
-      const Row& oldest = rows_.front();
-      const auto it = index_.find(index_key(oldest.seq, oldest.spec));
+      const Lifecycle& oldest = rows_.front();
+      const auto it = index_.find(lifecycle_key(oldest.seq, oldest.spec));
       // Drop the index entry only if it still points at the evicted row —
       // a newer row with the same key must keep its mapping.
       if (it != index_.end() && it->second == evicted_) index_.erase(it);
@@ -48,19 +36,9 @@ void TimelineTracer::record(const TraceEvent& event) {
     }
     return;
   }
-  Row* row = find(event.seq, event.spec);
-  if (row == nullptr) return;  // scrolled out of the window
-  switch (event.kind) {
-    case TraceKind::kIssue: row->issue = event.cycle; break;
-    case TraceKind::kComplete: row->complete = event.cycle; break;
-    case TraceKind::kRelease: row->release = event.cycle; break;
-    case TraceKind::kRIssue: row->r_issue = event.cycle; break;
-    case TraceKind::kRComplete: row->r_complete = event.cycle; break;
-    case TraceKind::kCommit: row->commit = event.cycle; break;
-    case TraceKind::kSquash: row->squashed = true; break;
-    case TraceKind::kError: row->error = true; break;
-    case TraceKind::kDispatch: break;
-  }
+  const auto it = index_.find(lifecycle_key(event.seq, event.spec));
+  if (it == index_.end()) return;  // scrolled out of the window
+  rows_[it->second - evicted_].apply(event);
 }
 
 std::string TimelineTracer::to_string() const {
@@ -71,7 +49,7 @@ std::string TimelineTracer::to_string() const {
     return cycle == 0 ? std::string("      .") : format("%7llu",
         static_cast<unsigned long long>(cycle));
   };
-  for (const Row& row : rows_) {
+  for (const Lifecycle& row : rows_) {
     std::string line = format(
         "  %5llu%c 0x%-7llx %-26s", static_cast<unsigned long long>(row.seq),
         row.spec ? '*' : ' ', static_cast<unsigned long long>(row.pc),

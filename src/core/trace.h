@@ -47,6 +47,49 @@ class Tracer {
   virtual void record(const TraceEvent& event) = 0;
 };
 
+/// Key of one instruction's lifecycle: wrong-path entries can share a seq
+/// with a true-path instruction, so the spec flag is folded into the low
+/// bit.
+inline u64 lifecycle_key(InstSeq seq, bool spec) {
+  return (static_cast<u64>(seq) << 1) | (spec ? 1 : 0);
+}
+
+/// One instruction's trip through the pipeline, assembled from its events:
+/// the cycle of each stage it reached (0 = never) and how it ended.
+struct Lifecycle {
+  InstSeq seq = 0;
+  Addr pc = 0;
+  isa::Instruction inst;
+  bool spec = false;
+  bool squashed = false;
+  bool error = false;
+  Cycle dispatch = 0;
+  Cycle issue = 0;
+  Cycle complete = 0;
+  Cycle release = 0;
+  Cycle r_issue = 0;
+  Cycle r_complete = 0;
+  Cycle commit = 0;
+
+  /// Record one event of this instruction; dispatch starts it afresh.
+  void apply(const TraceEvent& event) {
+    switch (event.kind) {
+      case TraceKind::kDispatch:
+        *this = Lifecycle{event.seq, event.pc, event.inst, event.spec};
+        dispatch = event.cycle;
+        break;
+      case TraceKind::kIssue: issue = event.cycle; break;
+      case TraceKind::kComplete: complete = event.cycle; break;
+      case TraceKind::kRelease: release = event.cycle; break;
+      case TraceKind::kRIssue: r_issue = event.cycle; break;
+      case TraceKind::kRComplete: r_complete = event.cycle; break;
+      case TraceKind::kCommit: commit = event.cycle; break;
+      case TraceKind::kSquash: squashed = true; break;
+      case TraceKind::kError: error = true; break;
+    }
+  }
+};
+
 /// Collects the last `capacity` instructions' lifecycles and renders them
 /// as a table. Wrong-path instructions show up with a `*` and a squash
 /// column.
@@ -56,23 +99,7 @@ class TimelineTracer final : public Tracer {
 
   void record(const TraceEvent& event) override;
 
-  struct Row {
-    InstSeq seq = 0;
-    Addr pc = 0;
-    isa::Instruction inst;
-    bool spec = false;
-    bool squashed = false;
-    bool error = false;
-    Cycle dispatch = 0;
-    Cycle issue = 0;
-    Cycle complete = 0;
-    Cycle release = 0;
-    Cycle r_issue = 0;
-    Cycle r_complete = 0;
-    Cycle commit = 0;
-  };
-
-  const std::deque<Row>& rows() const { return rows_; }
+  const std::deque<Lifecycle>& rows() const { return rows_; }
   u64 events_seen() const { return events_seen_; }
 
   /// Render the collected rows; columns show the cycle of each stage
@@ -80,21 +107,11 @@ class TimelineTracer final : public Tracer {
   std::string to_string() const;
 
  private:
-  Row* find(InstSeq seq, bool spec);
-
-  /// Index key: wrong-path entries can share a seq with a true-path
-  /// instruction, so the spec flag is folded into the low bit.
-  static u64 index_key(InstSeq seq, bool spec) {
-    return (static_cast<u64>(seq) << 1) | (spec ? 1 : 0);
-  }
-
   usize capacity_;
-  std::deque<Row> rows_;
-  /// (seq, spec) -> absolute row number (monotonic since construction);
-  /// deque position = absolute - evicted_. Keeps find() O(1) where the old
-  /// reverse scan was O(capacity) per event — quadratic over a large
-  /// window. A key maps to its *most recent* row, matching the reverse
-  /// scan's semantics when wrong-path seqs recur.
+  std::deque<Lifecycle> rows_;
+  /// lifecycle_key -> absolute row number (monotonic since construction);
+  /// deque position = absolute - evicted_, so lookup is O(1). A key maps
+  /// to its *most recent* row (wrong-path seqs recur).
   std::unordered_map<u64, u64> index_;
   u64 evicted_ = 0;  ///< rows dropped off the front so far
   u64 events_seen_ = 0;
