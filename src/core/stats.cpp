@@ -1,5 +1,7 @@
 #include "core/stats.h"
 
+#include <array>
+
 #include "common/snapshot.h"
 #include "common/strutil.h"
 
@@ -58,43 +60,44 @@ void set_counter(metrics::Registry* registry, const char* name, u64 value,
 
 void export_core_stats(metrics::Registry* registry, const CoreStats& stats,
                        const metrics::Labels& labels) {
-  set_counter(registry, "reese_core_cycles_total", stats.cycles, labels,
-              "Simulated cycles");
-  set_counter(registry, "reese_core_fetched_instructions_total",
-              stats.fetched, labels, "Instructions fetched");
-  set_counter(registry, "reese_core_dispatched_instructions_total",
-              stats.dispatched, labels, "Instructions dispatched to the RUU");
-  set_counter(registry, "reese_core_wrongpath_instructions_total",
-              stats.wrongpath_dispatched, labels,
-              "Wrong-path instructions dispatched");
-  set_counter(registry, "reese_core_issued_p_total", stats.issued_p, labels,
-              "P-stream issues");
-  set_counter(registry, "reese_core_issued_r_total", stats.issued_r, labels,
-              "R-stream issues");
-  set_counter(registry, "reese_core_committed_instructions_total",
-              stats.committed, labels,
-              "P-stream instructions architecturally committed");
-  set_counter(registry, "reese_core_committed_r_total", stats.committed_r,
-              labels, "R-stream executions compared");
-  set_counter(registry, "reese_core_rskipped_instructions_total",
-              stats.rskipped, labels,
-              "Instructions not re-executed (partial mode)");
-  set_counter(registry, "reese_core_branches_resolved_total",
-              stats.branches_resolved, labels, "Resolved branches");
-  set_counter(registry, "reese_core_branch_mispredicts_total",
-              stats.branch_mispredicts, labels, "Branch mispredictions");
-  set_counter(registry, "reese_core_rqueue_enqueued_total",
-              stats.rqueue_enqueued, labels,
-              "Instructions released into the R-stream queue");
-  set_counter(registry, "reese_core_comparisons_total", stats.comparisons,
-              labels, "Comparator checks");
-  set_counter(registry, "reese_core_errors_detected_total",
-              stats.errors_detected, labels, "Comparator mismatches detected");
-  set_counter(registry, "reese_core_faults_injected_total",
-              stats.faults_injected, labels, "Faults injected");
-  set_counter(registry, "reese_core_faults_undetected_total",
-              stats.faults_undetected, labels,
-              "Faulty instructions committed unchecked");
+  const struct {
+    const char* name;
+    u64 value;
+    const char* help;
+  } counters[] = {
+      {"reese_core_cycles_total", stats.cycles, "Simulated cycles"},
+      {"reese_core_fetched_instructions_total", stats.fetched,
+       "Instructions fetched"},
+      {"reese_core_dispatched_instructions_total", stats.dispatched,
+       "Instructions dispatched to the RUU"},
+      {"reese_core_wrongpath_instructions_total", stats.wrongpath_dispatched,
+       "Wrong-path instructions dispatched"},
+      {"reese_core_issued_p_total", stats.issued_p, "P-stream issues"},
+      {"reese_core_issued_r_total", stats.issued_r, "R-stream issues"},
+      {"reese_core_committed_instructions_total", stats.committed,
+       "P-stream instructions architecturally committed"},
+      {"reese_core_committed_r_total", stats.committed_r,
+       "R-stream executions compared"},
+      {"reese_core_rskipped_instructions_total", stats.rskipped,
+       "Instructions not re-executed (partial mode)"},
+      {"reese_core_branches_resolved_total", stats.branches_resolved,
+       "Resolved branches"},
+      {"reese_core_branch_mispredicts_total", stats.branch_mispredicts,
+       "Branch mispredictions"},
+      {"reese_core_rqueue_enqueued_total", stats.rqueue_enqueued,
+       "Instructions released into the R-stream queue"},
+      {"reese_core_comparisons_total", stats.comparisons,
+       "Comparator checks"},
+      {"reese_core_errors_detected_total", stats.errors_detected,
+       "Comparator mismatches detected"},
+      {"reese_core_faults_injected_total", stats.faults_injected,
+       "Faults injected"},
+      {"reese_core_faults_undetected_total", stats.faults_undetected,
+       "Faulty instructions committed unchecked"},
+  };
+  for (const auto& counter : counters) {
+    set_counter(registry, counter.name, counter.value, labels, counter.help);
+  }
 
   for (usize i = 0; i < kCycleClassCount; ++i) {
     const CycleClass cls = static_cast<CycleClass>(i);
@@ -105,19 +108,22 @@ void export_core_stats(metrics::Registry* registry, const CoreStats& stats,
                 "Per-cycle stall attribution (partitions reese_core_cycles_total)");
   }
 
-  if (metrics::Gauge* gauge =
-          registry->gauge("reese_core_ipc", labels,
-                          "Committed instructions per cycle")) {
-    gauge->set(stats.ipc());
-  }
-  if (metrics::Gauge* gauge = registry->gauge(
-          "reese_core_ruu_occupancy_mean", labels, "Mean RUU occupancy")) {
-    gauge->set(stats.ruu_occupancy.mean());
-  }
-  if (metrics::Gauge* gauge = registry->gauge(
-          "reese_core_rqueue_occupancy_mean", labels,
-          "Mean R-stream queue occupancy")) {
-    gauge->set(stats.rqueue_occupancy.mean());
+  const struct {
+    const char* name;
+    double value;
+    const char* help;
+  } gauges[] = {
+      {"reese_core_ipc", stats.ipc(), "Committed instructions per cycle"},
+      {"reese_core_ruu_occupancy_mean", stats.ruu_occupancy.mean(),
+       "Mean RUU occupancy"},
+      {"reese_core_rqueue_occupancy_mean", stats.rqueue_occupancy.mean(),
+       "Mean R-stream queue occupancy"},
+  };
+  for (const auto& gauge : gauges) {
+    if (metrics::Gauge* metric =
+            registry->gauge(gauge.name, labels, gauge.help)) {
+      metric->set(gauge.value);
+    }
   }
 
   // The P->R separation distribution, re-bucketed onto the metric's fixed
@@ -147,74 +153,49 @@ void export_core_stats(metrics::Registry* registry, const CoreStats& stats,
   }
 }
 
+namespace {
+
+/// Every CoreStats counter in snapshot order: the one list save and load
+/// share.
+template <typename Stats>
+auto counters(Stats& s) {
+  return std::array{&s.cycles, &s.fetched, &s.dispatched,
+                    &s.wrongpath_dispatched, &s.issued_p, &s.issued_r,
+                    &s.committed, &s.committed_r, &s.rskipped,
+                    &s.ifq_full_stall_cycles, &s.ruu_full_stalls,
+                    &s.lsq_full_stalls, &s.icache_stall_cycles,
+                    &s.branches_resolved, &s.branch_mispredicts,
+                    &s.cond_branches_resolved, &s.cond_branch_mispredicts,
+                    &s.rqueue_enqueued, &s.rqueue_full_stall_cycles,
+                    &s.rpriority_cycles, &s.comparisons, &s.errors_detected,
+                    &s.faults_injected, &s.faults_undetected};
+}
+
+}  // namespace
+
 void CoreStats::save(SnapshotWriter* writer) const {
-  writer->put_u64(cycles);
-  writer->put_u64(fetched);
-  writer->put_u64(dispatched);
-  writer->put_u64(wrongpath_dispatched);
-  writer->put_u64(issued_p);
-  writer->put_u64(issued_r);
-  writer->put_u64(committed);
-  writer->put_u64(committed_r);
-  writer->put_u64(rskipped);
-  writer->put_u64(ifq_full_stall_cycles);
-  writer->put_u64(ruu_full_stalls);
-  writer->put_u64(lsq_full_stalls);
-  writer->put_u64(icache_stall_cycles);
-  writer->put_u64(branches_resolved);
-  writer->put_u64(branch_mispredicts);
-  writer->put_u64(cond_branches_resolved);
-  writer->put_u64(cond_branch_mispredicts);
-  writer->put_u64(rqueue_enqueued);
-  writer->put_u64(rqueue_full_stall_cycles);
-  writer->put_u64(rpriority_cycles);
-  writer->put_u64(comparisons);
-  writer->put_u64(errors_detected);
-  writer->put_u64(faults_injected);
-  writer->put_u64(faults_undetected);
+  for (const u64* counter : counters(*this)) writer->put_u64(*counter);
   for (u64 count : cycle_classes) writer->put_u64(count);
-  separation.save(writer);
-  detection_latency.save(writer);
-  issue_per_cycle.save(writer);
-  ruu_occupancy.save(writer);
-  lsq_occupancy.save(writer);
-  ifq_occupancy.save(writer);
-  rqueue_occupancy.save(writer);
+  for (const Histogram* h : {&separation, &detection_latency,
+                             &issue_per_cycle}) {
+    h->save(writer);
+  }
+  for (const RunningStat* stat : {&ruu_occupancy, &lsq_occupancy,
+                                  &ifq_occupancy, &rqueue_occupancy}) {
+    stat->save(writer);
+  }
 }
 
 void CoreStats::load(SnapshotReader* reader) {
-  cycles = reader->get_u64();
-  fetched = reader->get_u64();
-  dispatched = reader->get_u64();
-  wrongpath_dispatched = reader->get_u64();
-  issued_p = reader->get_u64();
-  issued_r = reader->get_u64();
-  committed = reader->get_u64();
-  committed_r = reader->get_u64();
-  rskipped = reader->get_u64();
-  ifq_full_stall_cycles = reader->get_u64();
-  ruu_full_stalls = reader->get_u64();
-  lsq_full_stalls = reader->get_u64();
-  icache_stall_cycles = reader->get_u64();
-  branches_resolved = reader->get_u64();
-  branch_mispredicts = reader->get_u64();
-  cond_branches_resolved = reader->get_u64();
-  cond_branch_mispredicts = reader->get_u64();
-  rqueue_enqueued = reader->get_u64();
-  rqueue_full_stall_cycles = reader->get_u64();
-  rpriority_cycles = reader->get_u64();
-  comparisons = reader->get_u64();
-  errors_detected = reader->get_u64();
-  faults_injected = reader->get_u64();
-  faults_undetected = reader->get_u64();
+  for (u64* counter : counters(*this)) *counter = reader->get_u64();
   for (u64& count : cycle_classes) count = reader->get_u64();
-  separation.load(reader);
-  detection_latency.load(reader);
-  issue_per_cycle.load(reader);
-  ruu_occupancy.load(reader);
-  lsq_occupancy.load(reader);
-  ifq_occupancy.load(reader);
-  rqueue_occupancy.load(reader);
+  for (Histogram* h : {&separation, &detection_latency, &issue_per_cycle}) {
+    h->load(reader);
+  }
+  for (RunningStat* stat : {&ruu_occupancy, &lsq_occupancy, &ifq_occupancy,
+                            &rqueue_occupancy}) {
+    stat->load(reader);
+  }
 }
 
 }  // namespace reese::core
