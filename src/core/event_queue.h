@@ -33,7 +33,6 @@ class CalendarQueue {
   }
 
   bool empty() const { return pending_ == 0 && overflow_.empty(); }
-  usize pending() const { return pending_ + overflow_.size(); }
 
   /// Schedule `value` for cycle `when`. The caller drains cycle `now`
   /// before scheduling (the pipeline evaluates writeback before issue), so

@@ -22,6 +22,15 @@ struct FaultDecision {
   unsigned bit = 0;      ///< which bit of the 64-bit value to flip
 };
 
+/// A result flip the hook ordered for one checked instruction, as the
+/// checker stores it until the comparison settles.
+struct InjectedFault {
+  bool active = false;  ///< a flip was injected
+  bool flip_r = false;  ///< the recomputation is flipped, not the stored copy
+  unsigned bit = 0;     ///< flipped bit, 0..63
+  Cycle cycle = 0;      ///< injection cycle (the detection-latency base)
+};
+
 /// Which microarchitectural structure a fault campaign targets. kResult is
 /// the classic result-flipping model (an upset in a functional unit's output
 /// latch, delivered through on_instruction); every other site names a

@@ -8,114 +8,90 @@
 // execution (forwarding before comparison, as in REESE), but the entry
 // only becomes committable after the duplicate execution's result has
 // been compared. There is no R-stream Queue and no early release — which
-// is exactly the structural pressure REESE's queue removes.
-#include <algorithm>
+// is exactly the structural pressure REESE's queue removes. Commit is the
+// baseline's, in order from the RUU head.
 #include <cassert>
+#include <vector>
 
-#include "common/bitutil.h"
+#include "core/checker.h"
 #include "core/pipeline.h"
 
 namespace reese::core {
 
-using isa::ExecClass;
+class FranklinChecker final : public Checker {
+ public:
+  explicit FranklinChecker(Pipeline* core)
+      : Checker(core, /*duplicates=*/true), stored_(core_.config_.ruu_size) {}
 
-void Pipeline::franklin_first_completion(u32 slot_index) {
-  RuuEntry& entry = ruu_[slot_index];
-  assert(franklin_mode() && !entry.first_done);
-  entry.first_done = true;
-  // Results forward to dependents before comparison (only the commit is
-  // gated, §4.3 of the paper describes the same rule); branch resolution
-  // happens on the primary execution, and the duplicate only verifies it.
-  finish_execution(slot_index);
+  void arm_duplicate(u32 slot) override;
+  bool issue_duplicate(u32 slot) override;
+  void complete_duplicate(u32 slot) override;
 
-  // Create the comparator's stored copy; the fault hook may corrupt it
-  // (or schedule a flip of the duplicate execution's output).
-  entry.fr_p_copy = entry.result;
-  if (!entry.spec && fault_hook_ != nullptr) {
-    const FaultDecision decision =
-        fault_hook_->on_instruction(entry.seq, now_, entry.pc, entry.inst);
-    if (decision.flip_p || decision.flip_r) {
-      entry.fr_faulted = true;
-      entry.fr_fault_bit = decision.bit % 64;
-      entry.fr_fault_cycle = now_;
-      ++stats_.faults_injected;
-      if (decision.flip_p) {
-        entry.fr_p_copy = flip_bit(entry.fr_p_copy, entry.fr_fault_bit);
-      }
-      entry.fr_flip_r = decision.flip_r;
-    }
-  }
+ private:
+  /// The comparator's reference copy of one RUU slot's first result; the
+  /// fault hook may corrupt it (or schedule a flip of the duplicate's
+  /// output).
+  struct StoredResult {
+    u64 value = 0;
+    InjectedFault fault;
+  };
+  std::vector<StoredResult> stored_;  ///< indexed by RUU slot
+};
+
+std::unique_ptr<Checker> make_franklin_checker(Pipeline* core) {
+  return std::make_unique<FranklinChecker>(core);
+}
+
+void FranklinChecker::arm_duplicate(u32 slot) {
+  // The first execution's result has forwarded to dependents (only the
+  // commit is gated, as §4.3 of the paper describes for REESE) and
+  // resolved any branch; the duplicate only verifies it.
+  Pipeline::RuuEntry& entry = core_.ruu_[slot];
+  StoredResult& stored = stored_[slot];
+  stored.value = entry.result;
+  stored.fault = entry.spec ? InjectedFault{}
+                            : core_.inject_result_fault(entry, &stored.value);
 
   // Re-arm for the duplicate execution; the entry re-enters the issue scan.
   entry.issued = false;
-  unissued_mask_ |= ruu_mask_bit(slot_index);
+  core_.unissued_mask_ |= Pipeline::ruu_mask_bit(slot);
 }
 
-bool Pipeline::franklin_issue_second(u32 slot_index) {
-  RuuEntry& entry = ruu_[slot_index];
-  assert(entry.first_done && !entry.issued && !entry.completed);
+bool FranklinChecker::issue_duplicate(u32 slot) {
+  Pipeline& core = core_;
+  Pipeline::RuuEntry& entry = core.ruu_[slot];
+  assert(entry.result_ready && !entry.issued && !entry.completed);
 
-  const ExecClass exec_class = entry.inst.info().exec_class;
-  const u32 r_occupancy = std::max<u32>(1, config_.reese.r_fu_occupancy);
-  Cycle complete_at = 0;
-  if (exec_class == ExecClass::kLoad) {
-    if (!fu_pool_.try_acquire(FuKind::kMemPort, now_, 1)) return false;
-    complete_at = now_ + hierarchy_->data_access(entry.mem_addr, false);
-  } else if (exec_class == ExecClass::kStore) {
-    const FuKind unit = config_.reese.r_store_uses_port ? FuKind::kMemPort
-                                                        : FuKind::kIntAlu;
-    if (!fu_pool_.try_acquire(unit, now_, 1)) return false;
-    complete_at = now_ + 1;
-  } else if (exec_class == ExecClass::kNone) {
-    complete_at = now_ + 1;
-  } else {
-    OpTiming timing = op_timing(exec_class, config_);
-    if (timing.fu == FuKind::kIntAlu || timing.fu == FuKind::kFpAlu) {
-      timing.issue_latency = std::max(timing.issue_latency, r_occupancy);
-    }
-    if (!fu_pool_.try_acquire(timing.fu, now_, timing.issue_latency)) {
-      return false;
-    }
-    complete_at = now_ + timing.result_latency;
-  }
+  const std::optional<Cycle> complete_at =
+      acquire_r_unit(entry.inst, entry.pc, entry.mem_addr, !entry.spec);
+  if (!complete_at) return false;
 
   entry.issued = true;
-  unissued_mask_ &= ~ruu_mask_bit(slot_index);
-  stats_.separation.add(now_ - entry.issue_cycle);
-  schedule_p_event(complete_at, RuuRef{slot_index, entry.gen});
-  trace(TraceKind::kRIssue, entry.seq, entry.pc, entry.inst, entry.spec);
-  ++stats_.issued_r;
+  core.unissued_mask_ &= ~Pipeline::ruu_mask_bit(slot);
+  core.stats_.separation.add(core.now_ - entry.issue_cycle);
+  core.p_events_.schedule(*complete_at, core.now_,
+                          Pipeline::RuuRef{slot, entry.gen});
+  core.trace(TraceKind::kRIssue, entry.seq, entry.pc, entry.inst, entry.spec);
+  ++core.stats_.issued_r;
   return true;
 }
 
-void Pipeline::franklin_second_completion(u32 slot_index) {
-  RuuEntry& entry = ruu_[slot_index];
-  assert(entry.first_done && !entry.completed);
+void FranklinChecker::complete_duplicate(u32 slot) {
+  Pipeline& core = core_;
+  Pipeline::RuuEntry& entry = core.ruu_[slot];
+  assert(entry.result_ready && !entry.completed);
   entry.completed = true;
 
   if (entry.spec) return;  // wrong-path duplicates are never compared
 
-  const ReexecOutcome outcome = recompute_and_compare(
+  const StoredResult& stored = stored_[slot];
+  const bool mismatch = recompute_and_compare(
       entry.inst, entry.pc, entry.rs1_value, entry.rs2_value, entry.mem_addr,
-      entry.actual_next, entry.fr_p_copy, entry.result, entry.fr_flip_r,
-      entry.fr_fault_bit);
-  ++stats_.comparisons;
-  ++stats_.committed_r;
-  trace(TraceKind::kRComplete, entry.seq, entry.pc, entry.inst, false);
-
-  if (outcome.mismatch) {
-    ++stats_.errors_detected;
-    trace(TraceKind::kError, entry.seq, entry.pc, entry.inst, false);
-    fetch_stall_until_ = std::max(
-        fetch_stall_until_, now_ + config_.reese.error_recovery_penalty);
-    if (entry.fr_faulted && fault_hook_ != nullptr) {
-      fault_hook_->on_detected(entry.seq, entry.fr_fault_cycle, now_);
-      stats_.detection_latency.add(now_ - entry.fr_fault_cycle);
-    }
-  } else if (entry.fr_faulted && fault_hook_ != nullptr) {
-    ++stats_.faults_undetected;
-    fault_hook_->on_undetected(entry.seq);
-  }
+      entry.actual_next, stored.value, entry.result, stored.fault);
+  ++core.stats_.comparisons;
+  ++core.stats_.committed_r;
+  core.trace(TraceKind::kRComplete, entry.seq, entry.pc, entry.inst, false);
+  core.resolve_check(mismatch, stored.fault, entry.seq, entry.pc, entry.inst);
 }
 
 }  // namespace reese::core

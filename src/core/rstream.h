@@ -9,15 +9,13 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <vector>
 
+#include "common/snapshot.h"
 #include "common/types.h"
+#include "core/fault_hook.h"
 #include "isa/instruction.h"
-
-namespace reese {
-class SnapshotReader;
-class SnapshotWriter;
-}  // namespace reese
 
 namespace reese::core {
 
@@ -35,7 +33,6 @@ struct REntry {
   u64 r_base_value = 0; ///< loads: the value the R-stream reload returns
                         ///< (see DESIGN.md on timing/function decoupling)
   Addr mem_addr = 0;    ///< P effective address for loads/stores
-  bool p_taken = false; ///< P branch outcome
   Addr p_next = 0;      ///< P next-PC
   Cycle p_issue_cycle = 0;
   Cycle p_complete_cycle = 0;
@@ -44,19 +41,13 @@ struct REntry {
   bool needs_reexec = true;  ///< false for 1-of-k skipped instructions
   bool issued = false;
   bool completed = false;    ///< re-executed and compared
-  Cycle r_issue_cycle = 0;
-  u64 r_result = 0;
   bool mismatch = false;
 
   /// True while the P instruction still occupies its RUU slot (early
   /// release disabled); the final commit must free that slot too.
   bool holds_ruu_slot = false;
 
-  // Fault-injection bookkeeping.
-  bool faulted = false;
-  bool flip_r = false;       ///< corrupt the R side instead of the P side
-  unsigned fault_bit = 0;
-  Cycle fault_cycle = 0;
+  InjectedFault fault;  ///< a result flip (p_result already carries a P one)
 
   // Component-site campaigns (DESIGN.md §16). site_faulted marks an upset
   // that came in from upstream (RUU/LSQ strike) or hit this slot's stored
@@ -66,13 +57,11 @@ struct REntry {
   // with coverage loss) and a mismatch is a false-positive detection.
   bool site_faulted = false;
   bool checker_faulted = false;
+  Cycle site_fault_cycle = 0;  ///< the strike's cycle (either flag)
 };
 
-/// Fixed-capacity ring: the capacity is a hardware parameter known at
-/// construction, so the previous std::deque (a chunked allocator paying a
-/// heap block every few pushes) is replaced by one flat REntry array that
-/// never allocates after construction. REntry is trivially copyable, so
-/// pushes are plain stores.
+/// Fixed-capacity ring: the capacity is a hardware parameter, so one flat
+/// REntry array never allocates after construction.
 class RStreamQueue {
  public:
   explicit RStreamQueue(u32 capacity)
@@ -85,15 +74,25 @@ class RStreamQueue {
   usize size() const { return count_; }
   u32 capacity() const { return capacity_; }
 
-  /// Enqueue at the tail; returns the entry's stable id. Caller must check
-  /// full() first.
-  u64 push(const REntry& entry);
-
   /// Tail-slot emplace: returns a recycled slot for the caller to fill in
-  /// place, skipping push()'s stack-copy of the whole REntry. The id is
-  /// assigned and the R-stream progress/fault flags are reset here; the
-  /// caller owns every field it reads later. Caller must check full() first.
-  REntry& push_slot();
+  /// place (no stack copy of a whole REntry). The id is assigned and the
+  /// R-stream progress/fault flags are reset here; the caller owns every
+  /// field it reads later. Caller must check full() first.
+  REntry& push_slot() {
+    assert(!full());
+    REntry& slot = at(count_);
+    slot.id = next_id_++;
+    slot.needs_reexec = true;
+    slot.issued = false;
+    slot.completed = false;
+    slot.mismatch = false;
+    slot.holds_ruu_slot = false;
+    slot.fault = {};
+    slot.site_faulted = false;
+    slot.checker_faulted = false;
+    ++count_;
+    return slot;
+  }
 
   REntry& front() { return entries_[head_]; }
   void pop_front() {
@@ -104,7 +103,12 @@ class RStreamQueue {
   /// Entry by stable id; must still be in the queue. Ids are assigned
   /// consecutively at push and the queue is FIFO, so the id's distance from
   /// the head id is its ring offset — O(1), no search.
-  REntry& by_id(u64 id);
+  REntry& by_id(u64 id) {
+    assert(count_ > 0 && id >= front().id && id - front().id < count_);
+    REntry& entry = at(static_cast<usize>(id - front().id));
+    assert(entry.id == id);
+    return entry;
+  }
 
   /// Program-order access for the in-order R issue scan (0 = head).
   /// The ring size is a config value, not a power of two, so `%` compiles
@@ -119,8 +123,15 @@ class RStreamQueue {
   /// Checkpoint serialization. Only called on a drained (empty) queue —
   /// what persists across a snapshot is the id counter, which keeps the
   /// FIFO-consecutive id contract intact across a restore.
-  void save(SnapshotWriter* writer) const;
-  void load(SnapshotReader* reader);
+  void save(SnapshotWriter* writer) const {
+    assert(count_ == 0 && "R-stream queue must be drained before snapshot");
+    writer->put_u64(next_id_);
+  }
+  void load(SnapshotReader* reader) {
+    next_id_ = reader->get_u64();
+    head_ = 0;
+    count_ = 0;
+  }
 
  private:
   std::vector<REntry> entries_;

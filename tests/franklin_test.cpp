@@ -2,6 +2,7 @@
 // baseline the paper compares REESE against.
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/pipeline.h"
 #include "faults/injector.h"
 #include "isa/iss.h"
@@ -138,6 +139,51 @@ TEST(Franklin, DeadlockFreeTinyConfig) {
   config.int_alu_count = 1;
   core::Pipeline pipeline(workload.program, config);
   EXPECT_EQ(pipeline.run(3'000, 3'000'000), core::StopReason::kCommitTarget);
+}
+
+/// Strikes a D-L1 line every few cycles and records the PC each consumed
+/// poison is charged to.
+class DcacheStrikes final : public core::FaultHook {
+ public:
+  core::FaultDecision on_instruction(InstSeq, Cycle, Addr,
+                                     const isa::Instruction&) override {
+    return {};
+  }
+  void on_detected(InstSeq, Cycle, Cycle) override {}
+  void on_undetected(InstSeq) override {}
+  core::FaultSite site() const override { return core::FaultSite::kDCache; }
+  core::SiteStrike on_site_cycle(Cycle now) override {
+    if (now % 8 != 0) return {};
+    return {true, rng_.next(), 0, 0};
+  }
+  void on_site_outcome(core::FaultOutcome outcome, Addr pc, Cycle,
+                       Cycle) override {
+    if (outcome == core::FaultOutcome::kSdc) sdc_pcs.push_back(pc);
+  }
+
+  std::vector<Addr> sdc_pcs;
+
+ private:
+  SplitMix64 rng_{7};
+};
+
+TEST(Franklin, DuplicateLoadChargesConsumedPoisonToItsOwnPc) {
+  // Only reads consume a poisoned D-L1 line (a store overwrites it), so
+  // every SDC must be charged to a load. A duplicate load that reads the
+  // poison must drain the event at once; left pending, it is charged to
+  // whichever access drains next — often a committing store.
+  const workloads::Workload workload = load("gcc");
+  DcacheStrikes hook;
+  core::Pipeline pipeline(workload.program, franklin_config());
+  pipeline.set_fault_hook(&hook);
+  pipeline.run(20'000, 4'000'000);
+  ASSERT_GT(hook.sdc_pcs.size(), 10u);
+  for (Addr pc : hook.sdc_pcs) {
+    ASSERT_TRUE(workload.program.contains_pc(pc));
+    EXPECT_TRUE(isa::is_load(workload.program.at(pc).op))
+        << "poison consumption charged to "
+        << isa::disassemble(workload.program.at(pc));
+  }
 }
 
 }  // namespace
