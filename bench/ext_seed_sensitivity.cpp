@@ -18,7 +18,7 @@ using namespace reese;
 int main(int argc, char** argv) {
   sim::ExperimentSpec spec;
   FlagParser flags;
-  sim::add_grid_flags(&flags, &spec.jobs, &spec.checkpoint);
+  sim::add_grid_flags(&flags, &spec);
   if (!flags.parse_or_report(argc, argv)) return 2;
   spec.title = "E2: Figure 2 grid across 5 workload-data seeds";
   spec.base = core::starting_config();

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   flags.add("--rate", &spec.rate);
   flags.add("--seed", &spec.seed);
   flags.add("--out", &out_path);
-  sim::add_grid_flags(&flags, &spec.jobs, &spec.checkpoint);
+  sim::add_grid_flags(&flags, &spec);
   if (!flags.parse_or_report(argc, argv)) return 2;
 
   std::printf("A5: fault-injection coverage (single-bit flips on "

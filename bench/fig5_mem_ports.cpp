@@ -11,7 +11,7 @@
 int main(int argc, char** argv) {
   reese::sim::ExperimentSpec spec;
   reese::FlagParser flags;
-  reese::sim::add_grid_flags(&flags, &spec.jobs, &spec.checkpoint);
+  reese::sim::add_grid_flags(&flags, &spec);
   if (!flags.parse_or_report(argc, argv)) return 2;
   spec.title = "Figure 5: IPC for additional memory ports (4 ports)";
   spec.base = reese::core::starting_config();

@@ -37,10 +37,9 @@ core::CoreConfig variation(int which) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  u32 jobs = 0;
-  sim::CheckpointOptions checkpoint;
+  sim::GridOptions grid;
   FlagParser flags;
-  sim::add_grid_flags(&flags, &jobs, &checkpoint);
+  sim::add_grid_flags(&flags, &grid);
   if (!flags.parse_or_report(argc, argv)) return 2;
   const std::vector<std::string> variations = {"None", "RUU,LSQ 2X", "Ex.Q 2X",
                                                "MemPorts"};
@@ -54,8 +53,7 @@ int main(int argc, char** argv) {
 
   for (int which = 0; which < 4; ++which) {
     sim::ExperimentSpec spec;
-    spec.jobs = jobs;
-    spec.checkpoint = checkpoint;
+    static_cast<sim::GridOptions&>(spec) = grid;
     spec.title = variations[which];
     spec.base = variation(which);
     const sim::ExperimentResult result = sim::run_experiment(spec);

@@ -48,10 +48,9 @@ core::CoreConfig config_for(const Point& point) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  u32 jobs = 0;
-  sim::CheckpointOptions checkpoint;
+  sim::GridOptions grid;
   FlagParser flags;
-  sim::add_grid_flags(&flags, &jobs, &checkpoint);
+  sim::add_grid_flags(&flags, &grid);
   if (!flags.parse_or_report(argc, argv)) return 2;
   const std::vector<Point> points = {
       {"RUU=64", 64, false},
@@ -65,8 +64,7 @@ int main(int argc, char** argv) {
               "R+2ALU", "REESE gap");
   for (const Point& point : points) {
     sim::ExperimentSpec spec;
-    spec.jobs = jobs;
-    spec.checkpoint = checkpoint;
+    static_cast<sim::GridOptions&>(spec) = grid;
     spec.title = point.label;
     spec.base = config_for(point);
     spec.models = {sim::Model::kBaseline, sim::Model::kReese,

@@ -148,24 +148,23 @@ int main(int argc, char** argv) {
   u64 instructions = kPaperBudget;
   std::string out_path = "BENCH_overnight.json";
   bool no_checkpoint = false;
-  u32 jobs = 0;
-  sim::CheckpointOptions checkpoint;
+  sim::GridOptions grid;
   FlagParser flags;
   flags.add("--instructions", &instructions);
   flags.add("--out", &out_path);
   flags.add("--no-checkpoint", &no_checkpoint);
-  sim::add_grid_flags(&flags, &jobs, &checkpoint);
+  sim::add_grid_flags(&flags, &grid);
   if (!flags.parse_or_report(argc, argv)) return 2;
 
   if (no_checkpoint) {
-    checkpoint = sim::CheckpointOptions{};
+    grid.checkpoint = {};
   } else {
-    if (checkpoint.dir.empty()) {
-      checkpoint.dir = "overnight-ckpt";
-      checkpoint.resume = true;  // rerunning the target continues the night
+    if (grid.checkpoint.dir.empty()) {
+      grid.checkpoint.dir = "overnight-ckpt";
+      grid.checkpoint.resume = true;  // rerunning continues the night
     }
-    if (checkpoint.interval == 0) {
-      checkpoint.interval = std::min(kDefaultInterval, instructions / 2);
+    if (grid.checkpoint.interval == 0) {
+      grid.checkpoint.interval = std::min(kDefaultInterval, instructions / 2);
     }
   }
 
@@ -173,15 +172,15 @@ int main(int argc, char** argv) {
   std::printf("overnight: %zu figure grids at %llu instructions/cell "
               "(checkpoints: %s)\n",
               figures.size(), static_cast<unsigned long long>(instructions),
-              checkpoint.dir.empty() ? "off" : checkpoint.dir.c_str());
+              grid.checkpoint.dir.empty() ? "off"
+                                          : grid.checkpoint.dir.c_str());
 
   std::vector<sim::ExperimentResult> results;
   std::vector<double> walls;
   double total_wall = 0.0;
   for (Figure& figure : figures) {
     figure.spec.instructions = instructions;
-    figure.spec.jobs = jobs;
-    figure.spec.checkpoint = checkpoint;
+    static_cast<sim::GridOptions&>(figure.spec) = grid;
     const auto start = std::chrono::steady_clock::now();
     const sim::ExperimentResult result = sim::run_experiment(figure.spec);
     const double wall =

@@ -1,17 +1,14 @@
 #include "sim/campaign.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 
 #include "common/json.h"
 #include "common/snapshot.h"
 #include "common/strutil.h"
-#include "common/thread_pool.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
 
@@ -36,7 +33,7 @@ void accumulate_stratum(StratumCount* stratum, const faults::FaultRecord& r) {
 // Campaign cells checkpoint at whole-cell granularity: a ".done" record
 // holds the finished CampaignCell, bound to the budget/rate/cell-seed so a
 // record from a differently-shaped campaign is ignored and the cell
-// re-runs (see CampaignSpec::checkpoint).
+// re-runs.
 constexpr u32 kCampaignCellTag = 0x43414D50;    // "CAMP"
 // Wire form of a whole (shard) matrix: identity fields + every cell.
 constexpr u32 kCampaignMatrixTag = 0x4D545258;  // "MTRX"
@@ -128,35 +125,6 @@ bool get_campaign_cell(SnapshotReader* reader, CampaignCell* cell) {
     stratum.window_sum = reader->get_u64();
   }
   if (!reader->ok()) return false;
-  *cell = std::move(loaded);
-  return true;
-}
-
-void save_campaign_cell(const std::string& path, u64 instructions,
-                        double rate, u64 cell_seed, const CampaignCell& cell) {
-  SnapshotWriter writer;
-  writer.put_section(kCampaignCellTag);
-  writer.put_u64(instructions);
-  writer.put_f64(rate);
-  writer.put_u64(cell_seed);
-  put_campaign_cell(&writer, cell);
-  std::string error;
-  if (!writer.write_file(path, kSnapshotFormatVersion, &error)) {
-    std::fprintf(stderr, "campaign: %s\n", error.c_str());
-  }
-}
-
-bool load_campaign_cell(const std::string& path, u64 instructions,
-                        double rate, u64 cell_seed, CampaignCell* cell) {
-  SnapshotReader reader;
-  if (!reader.open_file(path, kSnapshotFormatVersion)) return false;
-  if (!reader.expect_section(kCampaignCellTag)) return false;
-  if (reader.get_u64() != instructions) return false;
-  if (reader.get_f64() != rate) return false;
-  if (reader.get_u64() != cell_seed) return false;
-  CampaignCell loaded;
-  if (!get_campaign_cell(&reader, &loaded)) return false;
-  if (!reader.ok() || !reader.at_end()) return false;
   *cell = std::move(loaded);
   return true;
 }
@@ -536,107 +504,52 @@ CampaignSpec resolve_campaign_defaults(const CampaignSpec& spec_in) {
 
 CampaignResult run_campaign(const CampaignSpec& spec_in) {
   CampaignSpec spec = resolve_campaign_defaults(spec_in);
-  if (!spec.checkpoint.dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(spec.checkpoint.dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "campaign: cannot create checkpoint dir %s: %s\n",
-                   spec.checkpoint.dir.c_str(), ec.message().c_str());
-      std::exit(1);
-    }
-  }
   const CheckpointOptions& ckpt = spec.checkpoint;
 
   CampaignResult result;
   result.spec = spec;
-  result.matrix.cells.assign(
-      spec.variants.size(),
-      std::vector<std::vector<CampaignCell>>(
-          spec.workloads.size(), std::vector<CampaignCell>(spec.replicas)));
+  result.matrix = make_campaign_matrix(spec);
+  const usize workload_count = spec.workloads.size();
 
-  struct Job {
-    usize variant_index;
-    usize workload_index;
-    usize replica;
-  };
-  std::vector<Job> jobs;
-  for (usize v = 0; v < spec.variants.size(); ++v) {
-    for (usize w = 0; w < spec.workloads.size(); ++w) {
-      for (usize r = 0; r < spec.replicas; ++r) jobs.push_back({v, w, r});
-    }
-  }
-
-  // Progress accounting observes the grid without perturbing it (same
-  // scheme as run_experiment).
-  std::atomic<u64> cells_done{0};
-  std::atomic<u64> committed_total{0};
-  metrics::Counter* cells_counter =
-      spec.metrics == nullptr
-          ? nullptr
-          : spec.metrics->counter("reese_grid_cells_completed_total",
-                                  {{"kind", "campaign"}},
-                                  "Grid cells finished");
-  metrics::Counter* committed_counter =
-      spec.metrics == nullptr
-          ? nullptr
-          : spec.metrics->counter(
-                "reese_grid_committed_instructions_total",
-                {{"kind", "campaign"}},
-                "Instructions committed across grid cells");
-
-  // Each cell is one independent simulation with its own workload image,
-  // pipeline and injector, all seeded from derive_cell_seed alone; it
-  // writes only its own matrix slot, so the matrix is bit-identical no
-  // matter how many workers ran it.
-  std::atomic<bool> cancelled{false};
-  auto run_cell = [&](usize job_index) {
-    if (spec.cancel &&
-        (cancelled.load(std::memory_order_relaxed) || spec.cancel())) {
-      cancelled.store(true, std::memory_order_relaxed);
-      return;
-    }
-    const Job job = jobs[job_index];
-    const CampaignVariant& variant = spec.variants[job.variant_index];
+  // Cells enumerate variant -> workload -> replica. Each is one independent
+  // simulation with its own workload image, pipeline and injector, all
+  // seeded from derive_cell_seed alone; it writes only its own matrix slot,
+  // so the matrix is bit-identical no matter how many workers ran it.
+  const auto run_cell = [&](usize index) -> u64 {
+    const usize v = index / (workload_count * spec.replicas);
+    const usize w = index / spec.replicas % workload_count;
+    const usize r = index % spec.replicas;
+    const CampaignVariant& variant = spec.variants[v];
     // Seed and checkpoint identity use the *global* replica index, so a
     // shard covering replicas [replica_begin, replica_begin + n) runs
     // exactly the cells the single-node run would (DESIGN.md §15).
-    const usize global_replica = spec.replica_begin + job.replica;
-    const u64 cell_seed = derive_cell_seed(spec.seed, job.variant_index,
-                                           job.workload_index, global_replica);
-
-    CampaignCell& cell = result.matrix.cells[job.variant_index]
-                             [job.workload_index][job.replica];
-    const auto account_cell = [&](u64 committed) {
-      const u64 done = cells_done.fetch_add(1, std::memory_order_relaxed) + 1;
-      const u64 committed_now =
-          committed_total.fetch_add(committed, std::memory_order_relaxed) +
-          committed;
-      if (cells_counter != nullptr) cells_counter->inc();
-      if (committed_counter != nullptr) committed_counter->inc(committed);
-      if (spec.progress) {
-        spec.progress({done, static_cast<u64>(jobs.size()), committed_now});
-      }
-    };
+    const usize global_replica = spec.replica_begin + r;
+    const u64 cell_seed = derive_cell_seed(spec.seed, v, w, global_replica);
+    CampaignCell& cell = result.matrix.cells[v][w][r];
 
     std::string done_path;
     if (!ckpt.dir.empty()) {
-      done_path =
-          ckpt.dir + "/" +
-          format("campaign-v%zu-w%zu-r%zu.done", job.variant_index,
-                 job.workload_index, global_replica);
+      done_path = ckpt.dir + "/" +
+                  format("campaign-v%zu-w%zu-r%zu.done", v, w, global_replica);
     }
+    CampaignCell loaded;
     if (ckpt.resume && !done_path.empty() &&
-        load_campaign_cell(done_path, spec.instructions, spec.rate, cell_seed,
-                           &cell)) {
-      account_cell(cell.committed);
-      return;
+        load_done_record(done_path, kCampaignCellTag,
+                         [&](SnapshotReader* reader) {
+                           return reader->get_u64() == spec.instructions &&
+                                  reader->get_f64() == spec.rate &&
+                                  reader->get_u64() == cell_seed &&
+                                  get_campaign_cell(reader, &loaded);
+                         })) {
+      cell = std::move(loaded);
+      return cell.committed;
     }
 
     workloads::Workload workload_image;
     if (!spec.programs.empty()) {
       // Fixed image: the replica axis still varies the injector seed, so
       // the fault stream samples different instructions per replica.
-      const CampaignProgram& program = spec.programs[job.workload_index];
+      const CampaignProgram& program = spec.programs[w];
       workload_image =
           workloads::Workload{program.name, "", "fixed image", program.program};
     } else {
@@ -645,8 +558,7 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
       // across data-dependent paths, not replay one execution twelve times.
       options.seed = SplitMix64(cell_seed).next();
       options.iterations = 0;
-      auto workload =
-          workloads::make_workload(spec.workloads[job.workload_index], options);
+      auto workload = workloads::make_workload(spec.workloads[w], options);
       if (!workload.ok()) {
         std::fprintf(stderr, "campaign: %s\n",
                      workload.error().to_string().c_str());
@@ -670,7 +582,7 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
     if (sim_result.stop != core::StopReason::kCommitTarget && !halt_ok) {
       std::fprintf(stderr,
                    "campaign: %s/%s stopped early (%s) after %llu insts\n",
-                   spec.workloads[job.workload_index].c_str(),
+                   spec.workloads[w].c_str(),
                    variant.label.c_str(),
                    core::stop_reason_name(sim_result.stop),
                    static_cast<unsigned long long>(sim_result.committed));
@@ -786,23 +698,20 @@ CampaignResult run_campaign(const CampaignSpec& spec_in) {
     }
 
     if (!done_path.empty()) {
-      save_campaign_cell(done_path, spec.instructions, spec.rate, cell_seed,
-                         cell);
+      save_done_record(done_path, kCampaignCellTag, "campaign",
+                       [&](SnapshotWriter* writer) {
+                         writer->put_u64(spec.instructions);
+                         writer->put_f64(spec.rate);
+                         writer->put_u64(cell_seed);
+                         put_campaign_cell(writer, cell);
+                       });
     }
-
-    account_cell(sim_result.committed);
+    return cell.committed;
   };
-
-  const u32 workers = resolve_job_count(spec.jobs);
-  if (workers <= 1 || jobs.size() <= 1) {
-    // Reference path: plain sequential loop on the calling thread.
-    for (usize i = 0; i < jobs.size(); ++i) run_cell(i);
-  } else {
-    ThreadPool pool(workers);
-    pool.parallel_for(jobs.size(), run_cell);
-  }
-
-  result.cancelled = cancelled.load(std::memory_order_relaxed);
+  result.cancelled = run_grid(spec, "campaign",
+                              spec.variants.size() * workload_count *
+                                  spec.replicas,
+                              run_cell);
   return result;
 }
 
@@ -813,22 +722,22 @@ std::vector<CampaignSpec> split_campaign_spec(const CampaignSpec& resolved,
   const u32 replicas = resolved.replicas;
   const u32 base = replicas / static_cast<u32>(shards);
   const u32 extra = replicas % static_cast<u32>(shards);
+  // Hooks belong to whoever dispatches the shard, not to the template.
+  // Defaults are already resolved; quick left set would clamp the shard
+  // back to one replica on the worker.
+  CampaignSpec shard = resolved;
+  shard.cancel = nullptr;
+  shard.progress = nullptr;
+  shard.metrics = nullptr;
+  shard.shard_progress = nullptr;
+  shard.quick = false;
   u32 begin = resolved.replica_begin;
   for (usize s = 0; s < shards; ++s) {
     const u32 count = base + (s < extra ? 1 : 0);
     if (count == 0) continue;
-    CampaignSpec shard = resolved;
     shard.replica_begin = begin;
     shard.replicas = count;
-    // Defaults are already resolved; quick left set would clamp the shard
-    // back to one replica on the worker.
-    shard.quick = false;
-    // Hooks belong to whoever dispatches the shard, not to the template.
-    shard.cancel = nullptr;
-    shard.progress = nullptr;
-    shard.metrics = nullptr;
-    shard.shard_progress = nullptr;
-    out.push_back(std::move(shard));
+    out.push_back(shard);
     begin += count;
   }
   return out;

@@ -19,18 +19,15 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/metrics.h"
 #include "core/config.h"
 #include "faults/injector.h"
 #include "isa/program.h"
-#include "sim/checkpoint.h"
-#include "sim/progress.h"
+#include "sim/grid.h"
 
 namespace reese::sim {
 
@@ -75,7 +72,16 @@ struct CampaignProgram {
   isa::Program program;
 };
 
-struct CampaignSpec {
+/// One fault campaign. The grid knobs (jobs, cancel, progress, metrics,
+/// checkpoint) come from GridOptions, with two campaign specifics:
+///   * `metrics` also receives, in site mode, the
+///     reese_injector_strikes_total{site=,outcome=} breakdown;
+///   * cells persist at whole-cell granularity only, so
+///     `checkpoint.interval` is ignored — mid-cell snapshots are not taken
+///     (the injector's in-flight fault windows are not part of the
+///     snapshot surface, and cells are short relative to experiment
+///     cells).
+struct CampaignSpec : GridOptions {
   std::vector<CampaignVariant> variants;  ///< empty = the standard five
   /// Component axis shorthand: when non-empty, the variant list is replaced
   /// by (base × site) for each site here, with labels "base@site". The
@@ -94,34 +100,12 @@ struct CampaignSpec {
   u64 instructions = 0;   ///< per-cell budget; 0 = 60k (quick: 20k)
   double rate = 5e-3;     ///< per-instruction injection probability
   u64 seed = 0xFA17C0DE;  ///< campaign master seed
-  /// Worker threads; 0 = auto (same resolution as ExperimentSpec::jobs).
-  u32 jobs = 0;
   /// CI mode: one replica on a reduced budget, ≈10³ injections total.
   bool quick = false;
-  /// Optional cooperative cancellation, polled once per grid cell (same
-  /// contract as ExperimentSpec::cancel): when it returns true the
-  /// remaining cells are skipped and the result carries `cancelled`.
-  std::function<bool()> cancel;
-  /// Optional per-cell progress callback (see sim/progress.h for the
-  /// threading contract). Observes only.
-  ProgressFn progress;
-  /// Optional metrics registry: each finished cell bumps the
-  /// reese_grid_* counters with kind="campaign" (and, in site mode, the
-  /// reese_injector_strikes_total{site=,outcome=} breakdown). Must outlive
-  /// the run.
-  metrics::Registry* metrics = nullptr;
   /// Optional per-shard progress callback, honoured only by the fleet
   /// coordinator (run_fleet_campaign); single-node run_campaign never
   /// invokes it. See ShardProgressUpdate in sim/progress.h.
   ShardProgressFn shard_progress;
-  /// Checkpoint policy (DESIGN.md §14). Campaign cells persist at whole-
-  /// cell granularity only: each finished cell writes its CampaignCell to
-  /// a ".done" record in `dir`, and with `resume` those cells are skipped
-  /// on the next run (mid-cell snapshots are not taken — the injector's
-  /// in-flight fault windows are not part of the snapshot surface, and
-  /// cells are short relative to experiment cells). `interval` is
-  /// therefore ignored here. Left default, nothing is checkpointed.
-  CheckpointOptions checkpoint;
   /// Global index of this spec's first replica. 0 for a whole campaign; a
   /// shard produced by split_campaign_spec carries its offset here, so the
   /// cell seed (derive_cell_seed) and the checkpoint ".done" record name
@@ -218,7 +202,7 @@ struct CampaignMatrix {
 struct CampaignResult {
   CampaignSpec spec;  ///< with defaults resolved (budget, lists, replicas)
   CampaignMatrix matrix;
-  /// True when CampaignSpec::cancel fired before every cell ran; the
+  /// True when the spec's cancel hook fired before every cell ran; the
   /// matrix is then incomplete and must not be reported as a result.
   bool cancelled = false;
 
@@ -247,8 +231,8 @@ struct CampaignResult {
 u64 derive_cell_seed(u64 campaign_seed, usize variant_index,
                      usize workload_index, usize replica);
 
-/// Run the campaign across the thread pool (spec.jobs; same worker
-/// resolution and sequential jobs==1 reference path as run_experiment).
+/// Run the campaign's cells through run_grid (sim/grid.h), like
+/// run_experiment.
 CampaignResult run_campaign(const CampaignSpec& spec);
 
 // --- Sharding (fleet mode, DESIGN.md §15) -----------------------------------

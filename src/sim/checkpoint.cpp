@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <string>
 
-#include "common/flags.h"
 #include "common/snapshot.h"
 
 namespace reese::sim {
@@ -84,14 +83,6 @@ bool load_snapshot(Simulator* simulator, const std::string& path,
     return false;
   }
   return true;
-}
-
-void add_grid_flags(FlagParser* flags, u32* jobs,
-                    CheckpointOptions* checkpoint) {
-  flags->add("--jobs", jobs);
-  flags->add("--checkpoint-dir", &checkpoint->dir);
-  flags->add("--checkpoint-interval", &checkpoint->interval);
-  flags->add("--resume-from", &checkpoint->dir, &checkpoint->resume);
 }
 
 SimResult run_with_checkpoints(Simulator* simulator, u64 instructions,

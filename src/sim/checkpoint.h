@@ -20,10 +20,6 @@
 
 #include "sim/simulator.h"
 
-namespace reese {
-class FlagParser;
-}  // namespace reese
-
 namespace reese::sim {
 
 /// Bumped whenever the snapshot payload layout changes; readers reject
@@ -48,20 +44,14 @@ bool save_snapshot(Simulator* simulator, const std::string& path,
 bool load_snapshot(Simulator* simulator, const std::string& path,
                    std::string* error);
 
-/// Checkpoint policy shared by the experiment and campaign runners.
+/// Checkpoint policy shared by the experiment and campaign runners
+/// (GridOptions::checkpoint, sim/grid.h).
 struct CheckpointOptions {
   std::string dir;    ///< directory for snapshot/done files; empty = off
   u64 interval = 0;   ///< committed instructions between snapshots; 0 = only
                       ///< per-cell done records (campaign granularity)
   bool resume = false;  ///< pick up existing snapshots/done records in dir
 };
-
-/// Register the grid-runner flags that the figure benches and
-/// fault_coverage share: --jobs N, --checkpoint-dir D,
-/// --checkpoint-interval N and --resume-from D (the directory plus
-/// resume = true). The values land in the caller's spec fields.
-void add_grid_flags(FlagParser* flags, u32* jobs,
-                    CheckpointOptions* checkpoint);
 
 /// Resumable Simulator::run. When `resume` and `path` exists, restores it
 /// first (a load failure sets `*error` and returns a zeroed result — the

@@ -1,17 +1,14 @@
 #include "sim/experiment.h"
 
-#include <atomic>
 #include <cassert>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 
 #include "common/json.h"
 #include "common/snapshot.h"
 #include "common/strutil.h"
-#include "common/thread_pool.h"
 #include "sim/simulator.h"
 
 namespace reese::sim {
@@ -208,44 +205,9 @@ void maybe_write_csv(const ExperimentResult& result) {
   std::fclose(file);
 }
 
-// One finished grid cell persisted as a ".done" record so a resumed grid
-// skips the cell outright. The record is bound to the budget and workload
-// seed: a record from a differently-shaped run is ignored (the cell simply
-// re-runs), never misused.
+// A finished cell's ".done" record: the budget and workload seed it ran
+// with (a record from a differently-shaped run is ignored), then the cell.
 constexpr u32 kCellRecordTag = 0x43454C4C;  // "CELL"
-
-void save_cell_record(const std::string& path, u64 instructions, u64 seed,
-                      const ExperimentCell& cell) {
-  SnapshotWriter writer;
-  writer.put_section(kCellRecordTag);
-  writer.put_u64(instructions);
-  writer.put_u64(seed);
-  writer.put_u32(static_cast<u32>(cell.stop));
-  writer.put_f64(cell.ipc);
-  writer.put_u64(cell.cycles);
-  writer.put_u64(cell.committed);
-  std::string error;
-  if (!writer.write_file(path, kSnapshotFormatVersion, &error)) {
-    std::fprintf(stderr, "experiment: %s\n", error.c_str());
-  }
-}
-
-bool load_cell_record(const std::string& path, u64 instructions, u64 seed,
-                      ExperimentCell* cell) {
-  SnapshotReader reader;
-  if (!reader.open_file(path, kSnapshotFormatVersion)) return false;
-  if (!reader.expect_section(kCellRecordTag)) return false;
-  if (reader.get_u64() != instructions) return false;
-  if (reader.get_u64() != seed) return false;
-  ExperimentCell loaded;
-  loaded.stop = static_cast<core::StopReason>(reader.get_u32());
-  loaded.ipc = reader.get_f64();
-  loaded.cycles = reader.get_u64();
-  loaded.committed = reader.get_u64();
-  if (!reader.ok() || !reader.at_end()) return false;
-  *cell = loaded;
-  return true;
-}
 
 }  // namespace
 
@@ -254,20 +216,12 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
   if (spec.models.empty()) spec.models = standard_models();
   if (spec.workloads.empty()) spec.workloads = workloads::spec_like_names();
   if (spec.instructions == 0) spec.instructions = default_instruction_budget();
-  if (!spec.checkpoint.dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(spec.checkpoint.dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "experiment: cannot create checkpoint dir %s: %s\n",
-                   spec.checkpoint.dir.c_str(), ec.message().c_str());
-      std::exit(1);
-    }
-  }
   const CheckpointOptions& ckpt = spec.checkpoint;
 
   std::vector<u64> seeds = {spec.seed};
   seeds.insert(seeds.end(), spec.extra_seeds.begin(),
                spec.extra_seeds.end());
+  const usize model_count = spec.models.size();
 
   ExperimentResult result;
   result.spec = spec;
@@ -280,93 +234,54 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
       std::vector<std::vector<ExperimentCell>>(
           spec.models.size(), std::vector<ExperimentCell>(seeds.size())));
 
-  struct Job {
-    usize workload_index;
-    usize model_index;
-    usize seed_index;
-  };
-  std::vector<Job> jobs;
-  for (usize w = 0; w < spec.workloads.size(); ++w) {
-    for (usize m = 0; m < spec.models.size(); ++m) {
-      for (usize s = 0; s < seeds.size(); ++s) {
-        jobs.push_back({w, m, s});
-      }
-    }
-  }
-
-  // Progress accounting observes the grid without perturbing it; the grid
-  // counters live in the caller's registry so a long-lived service
-  // accumulates across jobs.
-  std::atomic<u64> cells_done{0};
-  std::atomic<u64> committed_total{0};
-  metrics::Counter* cells_counter =
-      spec.metrics == nullptr
-          ? nullptr
-          : spec.metrics->counter("reese_grid_cells_completed_total",
-                                  {{"kind", "experiment"}},
-                                  "Grid cells finished");
-  metrics::Counter* committed_counter =
-      spec.metrics == nullptr
-          ? nullptr
-          : spec.metrics->counter(
-                "reese_grid_committed_instructions_total",
-                {{"kind", "experiment"}},
-                "Instructions committed across grid cells");
-
-  // Each cell is an independent simulation: it builds its own workload,
-  // memory image and pipeline, and writes only its own result.cells slot,
-  // so the matrix is identical no matter how many workers ran it or in
-  // what order cells finished.
-  std::atomic<bool> cancelled{false};
-  auto run_cell = [&](usize job_index) {
-    if (spec.cancel &&
-        (cancelled.load(std::memory_order_relaxed) || spec.cancel())) {
-      cancelled.store(true, std::memory_order_relaxed);
-      return;
-    }
-    const Job job = jobs[job_index];
-
-    ExperimentCell& cell =
-        result.cells[job.workload_index][job.model_index][job.seed_index];
-    const auto account_cell = [&](u64 committed) {
-      const u64 done = cells_done.fetch_add(1, std::memory_order_relaxed) + 1;
-      const u64 committed_now =
-          committed_total.fetch_add(committed, std::memory_order_relaxed) +
-          committed;
-      if (cells_counter != nullptr) cells_counter->inc();
-      if (committed_counter != nullptr) committed_counter->inc(committed);
-      if (spec.progress) {
-        spec.progress({done, static_cast<u64>(jobs.size()), committed_now});
-      }
-    };
+  // Cells enumerate workload -> model -> seed. Each is an independent
+  // simulation: it builds its own workload, memory image and pipeline, and
+  // writes only its own result.cells slot, so the matrix is identical no
+  // matter how many workers ran it or in what order cells finished.
+  const auto run_cell = [&](usize index) -> u64 {
+    const usize w = index / (model_count * seeds.size());
+    const usize m = index / seeds.size() % model_count;
+    const usize s = index % seeds.size();
+    const u64 seed = seeds[s];
+    ExperimentCell& cell = result.cells[w][m][s];
 
     // Cell checkpoint files: "<slug>-wW-mM-sS.done" holds a finished
     // cell's result, "<...>.snap" a mid-cell pipeline snapshot.
     std::string cell_base;
     if (!ckpt.dir.empty()) {
       cell_base = ckpt.dir + "/" + slugify(spec.title) +
-                  format("-w%zu-m%zu-s%zu", job.workload_index,
-                         job.model_index, job.seed_index);
+                  format("-w%zu-m%zu-s%zu", w, m, s);
     }
+    ExperimentCell loaded;
     if (ckpt.resume && !cell_base.empty() &&
-        load_cell_record(cell_base + ".done", spec.instructions,
-                         seeds[job.seed_index], &cell)) {
-      account_cell(cell.committed);
-      return;
+        load_done_record(cell_base + ".done", kCellRecordTag,
+                         [&](SnapshotReader* reader) {
+                           if (reader->get_u64() != spec.instructions ||
+                               reader->get_u64() != seed) {
+                             return false;
+                           }
+                           loaded.stop = static_cast<core::StopReason>(
+                               reader->get_u32());
+                           loaded.ipc = reader->get_f64();
+                           loaded.cycles = reader->get_u64();
+                           loaded.committed = reader->get_u64();
+                           return true;
+                         })) {
+      cell = loaded;
+      return cell.committed;
     }
 
     workloads::WorkloadOptions options;
-    options.seed = seeds[job.seed_index];
+    options.seed = seed;
     options.iterations = 0;  // run forever; budget bounds the simulation
-    auto workload = workloads::make_workload(spec.workloads[job.workload_index],
-                                             options);
+    auto workload = workloads::make_workload(spec.workloads[w], options);
     if (!workload.ok()) {
       std::fprintf(stderr, "experiment: %s\n",
                    workload.error().to_string().c_str());
       std::exit(1);
     }
     Simulator simulator(std::move(workload).value(),
-                        apply_model(spec.base, spec.models[job.model_index]));
+                        apply_model(spec.base, spec.models[m]));
     SimResult sim_result;
     if (!cell_base.empty()) {
       std::string error;
@@ -384,8 +299,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
       std::fprintf(stderr,
                    "experiment: %s/%s stopped early (%s) after %llu insts, "
                    "%llu cycles\n",
-                   spec.workloads[job.workload_index].c_str(),
-                   model_name(spec.models[job.model_index]),
+                   spec.workloads[w].c_str(), model_name(spec.models[m]),
                    core::stop_reason_name(sim_result.stop),
                    static_cast<unsigned long long>(sim_result.committed),
                    static_cast<unsigned long long>(sim_result.cycles));
@@ -402,22 +316,22 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
     cell.committed = sim_result.committed;
     cell.stop = sim_result.stop;
     if (!cell_base.empty()) {
-      save_cell_record(cell_base + ".done", spec.instructions,
-                       seeds[job.seed_index], cell);
+      save_done_record(cell_base + ".done", kCellRecordTag, "experiment",
+                       [&](SnapshotWriter* writer) {
+                         writer->put_u64(spec.instructions);
+                         writer->put_u64(seed);
+                         writer->put_u32(static_cast<u32>(cell.stop));
+                         writer->put_f64(cell.ipc);
+                         writer->put_u64(cell.cycles);
+                         writer->put_u64(cell.committed);
+                       });
       std::remove((cell_base + ".snap").c_str());
     }
-
-    account_cell(sim_result.committed);
+    return cell.committed;
   };
-
-  const u32 workers = resolve_job_count(spec.jobs);
-  if (workers <= 1 || jobs.size() <= 1) {
-    // Reference path: plain sequential loop on the calling thread.
-    for (usize i = 0; i < jobs.size(); ++i) run_cell(i);
-  } else {
-    ThreadPool pool(workers);
-    pool.parallel_for(jobs.size(), run_cell);
-  }
+  result.cancelled = run_grid(spec, "experiment",
+                              spec.workloads.size() * model_count * seeds.size(),
+                              run_cell);
 
   for (usize w = 0; w < spec.workloads.size(); ++w) {
     for (usize m = 0; m < spec.models.size(); ++m) {
@@ -436,7 +350,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec_in) {
     }
   }
 
-  result.cancelled = cancelled.load(std::memory_order_relaxed);
   if (result.cancelled) return result;  // incomplete matrix: no CSV export
 
   maybe_write_csv(result);

@@ -9,15 +9,12 @@
 //   REESE+2 ALU+1 Mult  — plus a spare integer multiplier/divider
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
 #include "core/config.h"
 #include "core/pipeline.h"
-#include "sim/checkpoint.h"
-#include "sim/progress.h"
+#include "sim/grid.h"
 #include "workloads/workload.h"
 
 namespace reese::sim {
@@ -46,7 +43,12 @@ const std::vector<Model>& standard_models();
 /// Apply a model to a figure's base (baseline) configuration.
 core::CoreConfig apply_model(core::CoreConfig base, Model model);
 
-struct ExperimentSpec {
+/// One figure grid. The grid knobs (jobs, cancel, progress, metrics,
+/// checkpoint) come from GridOptions; with a non-zero checkpoint interval,
+/// long cells also snapshot mid-run every `interval` committed
+/// instructions, so a killed grid continues bit-identically (the interval
+/// is part of the result's identity — see sim/checkpoint.h).
+struct ExperimentSpec : GridOptions {
   std::string title;                    ///< e.g. "Figure 2: ..."
   core::CoreConfig base;                ///< baseline hardware for this figure
   std::vector<Model> models;            ///< bars (default: the standard five)
@@ -57,33 +59,6 @@ struct ExperimentSpec {
   /// once per seed (including `seed`) and the matrix holds the mean, with
   /// the sample standard deviation in ExperimentResult::ipc_stdev.
   std::vector<u64> extra_seeds;
-  /// Worker threads for the grid. 0 = auto: $REESE_JOBS, else hardware
-  /// concurrency. 1 = run every cell inline on the calling thread.
-  u32 jobs = 0;
-  /// Optional cooperative cancellation, polled once per grid cell before
-  /// the cell's simulation starts (cells are sub-second at service
-  /// budgets, so this is the natural preemption granularity). When it
-  /// returns true, the remaining cells are skipped and the result carries
-  /// `cancelled = true` with the untouched cells zero-filled. Used by the
-  /// service's per-job wall-clock timeout and SIGTERM drain.
-  std::function<bool()> cancel;
-  /// Optional per-cell progress callback (see sim/progress.h for the
-  /// threading contract). Observes only — results are bit-identical with
-  /// or without a listener.
-  ProgressFn progress;
-  /// Optional metrics registry: each finished cell bumps the
-  /// reese_grid_cells_completed_total and
-  /// reese_grid_committed_instructions_total counters (kind="experiment").
-  /// Must outlive the run.
-  metrics::Registry* metrics = nullptr;
-  /// Checkpoint policy (DESIGN.md §14). When `dir` is set, every finished
-  /// cell writes a ".done" record there and, with a non-zero `interval`,
-  /// long cells snapshot mid-run every `interval` committed instructions;
-  /// with `resume`, done cells are skipped and partial cells restored, so
-  /// a killed grid continues bit-identically (the interval is part of the
-  /// result's identity — see sim/checkpoint.h). Left default, nothing is
-  /// checkpointed.
-  CheckpointOptions checkpoint;
 };
 
 /// Raw outcome of one grid cell's simulation (one workload/model/seed run).
@@ -106,7 +81,7 @@ struct ExperimentResult {
   /// Deterministic regardless of how many workers ran the grid — the
   /// parallel-vs-sequential bit-identity test compares these directly.
   std::vector<std::vector<std::vector<ExperimentCell>>> cells;
-  /// True when ExperimentSpec::cancel fired before every cell ran; the
+  /// True when the spec's cancel hook fired before every cell ran; the
   /// matrix is then incomplete and must not be reported as a result.
   bool cancelled = false;
 
@@ -131,8 +106,8 @@ struct ExperimentResult {
   std::string json() const;
 };
 
-/// Run the grid. Independent (workload, model, seed) cells are fanned
-/// across a thread pool (see ExperimentSpec::jobs); every cell owns its
+/// Run the grid. Independent (workload, model, seed) cells are fanned out
+/// by run_grid (see GridOptions::jobs); every cell owns its
 /// Pipeline/memory/RNG and writes only its own result slot, so the matrix
 /// is bit-identical to a sequential run. When the environment variable
 /// REESE_CSV_DIR names a directory, the result is also written there as

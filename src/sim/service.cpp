@@ -849,10 +849,12 @@ void SimulationService::run_job(u64 id) {
   u64 committed = 0;
   std::optional<ExperimentResult> experiment_result;
   std::optional<CampaignResult> campaign_result;
+  GridOptions& grid = is_campaign ? static_cast<GridOptions&>(campaign_spec)
+                                  : experiment_spec;
+  grid.cancel = expired;
+  grid.progress = progress;
+  grid.metrics = &registry_;
   if (is_campaign) {
-    campaign_spec.cancel = expired;
-    campaign_spec.progress = progress;
-    campaign_spec.metrics = &registry_;
     // Per-shard rollup (fleet coordinator only; run_campaign ignores the
     // hook and split_campaign_spec strips it from wire shards). Max-merge
     // keeps each shard's numbers monotonic across re-dispatch: a fresh
@@ -902,9 +904,6 @@ void SimulationService::run_job(u64 id) {
       }
     }
   } else {
-    experiment_spec.cancel = expired;
-    experiment_spec.progress = progress;
-    experiment_spec.metrics = &registry_;
     experiment_result = run_experiment(experiment_spec);
     cancelled = experiment_result->cancelled;
     for (const auto& per_model : experiment_result->cells) {

@@ -175,7 +175,7 @@ TEST(Budget, EnvOverride) {
 TEST(GridFlags, FillTheSpecFieldsExplicitly) {
   ExperimentSpec spec;
   FlagParser flags;
-  add_grid_flags(&flags, &spec.jobs, &spec.checkpoint);
+  add_grid_flags(&flags, &spec);
   const char* argv[] = {"fig", "--jobs", "3", "--checkpoint-interval=500",
                         "-resume-from", "ck"};
   ASSERT_TRUE(flags.parse(6, argv).ok());
@@ -186,7 +186,7 @@ TEST(GridFlags, FillTheSpecFieldsExplicitly) {
 
   ExperimentSpec plain;
   FlagParser plain_flags;
-  add_grid_flags(&plain_flags, &plain.jobs, &plain.checkpoint);
+  add_grid_flags(&plain_flags, &plain);
   const char* plain_argv[] = {"fig", "--checkpoint-dir", "ck"};
   ASSERT_TRUE(plain_flags.parse(3, plain_argv).ok());
   EXPECT_EQ(plain.checkpoint.dir, "ck");
