@@ -92,6 +92,14 @@ void FranklinChecker::complete_duplicate(u32 slot) {
   ++core.stats_.committed_r;
   core.trace(TraceKind::kRComplete, entry.seq, entry.pc, entry.inst, false);
   core.resolve_check(mismatch, stored.fault, entry.seq, entry.pc, entry.inst);
+  if (mismatch && entry.site_faulted) {
+    // The comparator caught a component strike (RUU result or LSQ
+    // address): a detection, as at REESE's commit. An uncaught strike
+    // stays flagged for commit_head to resolve as SDC or masked.
+    entry.site_faulted = false;
+    core.report_site_outcome(FaultOutcome::kDetected, entry.pc,
+                             entry.site_fault_cycle);
+  }
 }
 
 }  // namespace reese::core

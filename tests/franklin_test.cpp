@@ -186,5 +186,46 @@ TEST(Franklin, DuplicateLoadChargesConsumedPoisonToItsOwnPc) {
   }
 }
 
+/// Strikes a random RUU slot's stored result every few cycles and tallies
+/// the site outcomes.
+class RuuStrikes final : public core::FaultHook {
+ public:
+  core::FaultDecision on_instruction(InstSeq, Cycle, Addr,
+                                     const isa::Instruction&) override {
+    return {};
+  }
+  void on_detected(InstSeq, Cycle, Cycle) override {}
+  void on_undetected(InstSeq) override {}
+  core::FaultSite site() const override { return core::FaultSite::kRuu; }
+  core::SiteStrike on_site_cycle(Cycle now) override {
+    if (now % 64 != 0) return {};
+    return {true, rng_.next(), static_cast<unsigned>(rng_.next() & 63), 0};
+  }
+  void on_site_outcome(core::FaultOutcome outcome, Addr, Cycle,
+                       Cycle) override {
+    ++outcomes[static_cast<usize>(outcome)];
+  }
+
+  u64 outcomes[3] = {};
+
+ private:
+  SplitMix64 rng_{11};
+};
+
+TEST(Franklin, ComparatorCatchOfAnRuuStrikeIsADetection) {
+  // Only struck entries can mismatch under a site-only hook, so every
+  // comparator catch is a strike the checker detected — not one that
+  // commit later resolves as SDC or masked.
+  const workloads::Workload workload = load("gcc");
+  RuuStrikes hook;
+  core::Pipeline pipeline(workload.program, franklin_config());
+  pipeline.set_fault_hook(&hook);
+  ASSERT_EQ(pipeline.run(40'000, 8'000'000), core::StopReason::kCommitTarget);
+  const u64 detected =
+      hook.outcomes[static_cast<usize>(core::FaultOutcome::kDetected)];
+  EXPECT_GT(pipeline.stats().errors_detected, 0u);
+  EXPECT_EQ(detected, pipeline.stats().errors_detected);
+}
+
 }  // namespace
 }  // namespace reese
