@@ -52,10 +52,6 @@ struct ReeseConfig {
   /// Ablatable to isolate the structural cost from FU contention.
   bool window_sharing = false;
 
-  /// Cycles an R instruction holds its window slot past execution
-  /// (writeback + compare stages).
-  u32 compare_stage_cycles = 1;
-
   /// Cycles an R-stream operation occupies its (pipelined) functional unit:
   /// the re-execution result is staged through the unit's output latch into
   /// the comparator, so the unit accepts a new operation every

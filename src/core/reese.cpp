@@ -13,6 +13,15 @@
 
 namespace reese::core {
 
+namespace {
+
+/// Cycles an R instruction holds its scheduler-window slot past execution
+/// (the writeback and compare stages). Must be at least 1: the release is
+/// scheduled on the calendar queue, which only accepts future cycles.
+constexpr Cycle kCompareStageCycles = 1;
+
+}  // namespace
+
 class ReeseChecker final : public Checker {
  public:
   explicit ReeseChecker(Pipeline* core)
@@ -234,8 +243,7 @@ void ReeseChecker::complete(u64 entry_id) {
   // The R instruction holds its scheduler-window slot through the
   // writeback and comparison stages before it is recycled.
   if (knobs_.window_sharing) {
-    r_release_at_.schedule(core.now_ + knobs_.compare_stage_cycles,
-                           core.now_, 1u);
+    r_release_at_.schedule(core.now_ + kCompareStageCycles, core.now_, 1u);
   }
   ++core.stats_.committed_r;
   ++core.stats_.comparisons;
