@@ -27,18 +27,26 @@ log::Logger& logger_of(const FleetConfig& config) {
   return config.logger != nullptr ? *config.logger : log::global();
 }
 
-http::RequestOptions wire_options(const FleetConfig& config, double deadline_s,
-                                  u64 jitter_seed) {
+/// Options for one request to a worker: the deadline plus the fleet's
+/// bearer token, when it has one.
+http::RequestOptions worker_options(const FleetConfig& config,
+                                    double deadline_s) {
   http::RequestOptions options;
   options.deadline_s = deadline_s;
-  options.max_retries = config.max_retries;
-  options.backoff_ms = config.backoff_ms;
-  options.backoff_max_ms = config.backoff_max_ms;
-  options.jitter_seed = jitter_seed;
   if (!config.auth_token.empty()) {
     options.headers.push_back(
         {"Authorization", "Bearer " + config.auth_token});
   }
+  return options;
+}
+
+http::RequestOptions wire_options(const FleetConfig& config, double deadline_s,
+                                  u64 jitter_seed) {
+  http::RequestOptions options = worker_options(config, deadline_s);
+  options.max_retries = config.max_retries;
+  options.backoff_ms = config.backoff_ms;
+  options.backoff_max_ms = config.backoff_max_ms;
+  options.jitter_seed = jitter_seed;
   return options;
 }
 
@@ -239,6 +247,23 @@ std::string slice_args(const Worker& worker, const Attempt& attempt,
   return out;
 }
 
+/// A row for CampaignSpec::shard_progress. `worker` is null while the
+/// shard is queued (its attempt number is then 0).
+ShardProgressUpdate shard_update(const Dispatch& dispatch,
+                                 const CampaignSpec& shard,
+                                 const Attempt& attempt, const Worker* worker,
+                                 const char* state) {
+  ShardProgressUpdate update;
+  update.shard_index = attempt.shard_index;
+  update.replica_begin = shard.replica_begin;
+  update.replicas = shard.replicas;
+  update.state = state;
+  if (worker != nullptr) update.worker = worker_name(*worker);
+  update.cells_total = dispatch.shard_cell_totals[attempt.shard_index];
+  update.dispatches = attempt.number;
+  return update;
+}
+
 enum class ShardOutcome {
   kDone,        ///< placed into the merged matrix
   kRequeue,     ///< worker is alive but lost the job (restart); retry shard
@@ -267,24 +292,17 @@ ShardOutcome run_shard(http::Client* client, const Worker& worker, u32 tid,
   const std::string shard_label =
       format("r[%u,%u)", shard.replica_begin,
              shard.replica_begin + shard.replicas);
-  const u64 shard_cells = dispatch->shard_cell_totals[attempt.shard_index];
 
   // Per-shard rollup to CampaignSpec::shard_progress (the service folds
   // these into GET /v1/jobs/<id>/progress).
   const auto report = [&](const char* state, u64 cells_done, u64 committed,
                           double kips) {
     if (!resolved.shard_progress) return;
-    ShardProgressUpdate update;
-    update.shard_index = attempt.shard_index;
-    update.replica_begin = shard.replica_begin;
-    update.replicas = shard.replicas;
-    update.state = state;
-    update.worker = worker_name(worker);
+    ShardProgressUpdate update =
+        shard_update(*dispatch, shard, attempt, &worker, state);
     update.cells_done = cells_done;
-    update.cells_total = shard_cells;
     update.committed = committed;
     update.kips = kips;
-    update.dispatches = attempt.number;
     resolved.shard_progress(update);
   };
 
@@ -525,16 +543,8 @@ void worker_loop(const FleetConfig& config, const Worker& worker, u32 tid,
               slice_args(worker, attempt, dispatch->trace_id));
         }
         if (resolved.shard_progress) {
-          ShardProgressUpdate update;
-          update.shard_index = attempt.shard_index;
-          update.replica_begin = shard.replica_begin;
-          update.replicas = shard.replicas;
-          update.state = "re-dispatched";
-          update.worker = worker_name(worker);
-          update.cells_total =
-              dispatch->shard_cell_totals[attempt.shard_index];
-          update.dispatches = attempt.number;
-          resolved.shard_progress(update);
+          resolved.shard_progress(shard_update(*dispatch, shard, attempt,
+                                               &worker, "re-dispatched"));
         }
         dispatch->cv.notify_all();
         break;
@@ -565,16 +575,8 @@ void worker_loop(const FleetConfig& config, const Worker& worker, u32 tid,
               slice_args(worker, attempt, dispatch->trace_id));
         }
         if (resolved.shard_progress) {
-          ShardProgressUpdate update;
-          update.shard_index = attempt.shard_index;
-          update.replica_begin = shard.replica_begin;
-          update.replicas = shard.replicas;
-          update.state = "re-dispatched";
-          update.worker = worker_name(worker);
-          update.cells_total =
-              dispatch->shard_cell_totals[attempt.shard_index];
-          update.dispatches = attempt.number;
-          resolved.shard_progress(update);
+          resolved.shard_progress(shard_update(*dispatch, shard, attempt,
+                                               &worker, "re-dispatched"));
         }
         dispatch->cv.notify_all();
         return;
@@ -666,13 +668,9 @@ bool probe_worker(const Worker& worker, const FleetConfig& config,
   // non-200 with a deterministic backoff instead.
   double delay_ms = config.backoff_ms > 0.0 ? config.backoff_ms : 100.0;
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    http::RequestOptions options;
-    options.deadline_s = config.probe_deadline_s;
+    http::RequestOptions options =
+        worker_options(config, config.probe_deadline_s);
     options.max_retries = 0;
-    if (!config.auth_token.empty()) {
-      options.headers.push_back(
-          {"Authorization", "Bearer " + config.auth_token});
-    }
     const http::Response response = http::request(
         worker.host, worker.port, "GET", "/v1/healthz", "", options);
     if (response.status == 200) {
@@ -706,14 +704,9 @@ bool collect_fleet_metrics(const FleetConfig& config, metrics::Registry* out,
     metrics::Gauge* up = out->gauge(
         "reese_fleet_worker_up", {{"worker", name}},
         "1 when the worker answered the last federation scrape");
-    http::RequestOptions options;
-    options.deadline_s = config.request_deadline_s;
-    if (!config.auth_token.empty()) {
-      options.headers.push_back(
-          {"Authorization", "Bearer " + config.auth_token});
-    }
-    const http::Response response = http::request(
-        worker.host, worker.port, "GET", "/v1/metrics", "", options);
+    const http::Response response =
+        http::request(worker.host, worker.port, "GET", "/v1/metrics", "",
+                      worker_options(config, config.request_deadline_s));
     if (response.status != 200) {
       if (up != nullptr) up->set(0.0);
       continue;
@@ -875,13 +868,8 @@ bool run_fleet_campaign(const FleetConfig& config, const CampaignSpec& spec,
        log::field("trace", trace_header_value(trace_id, 0))});
   if (resolved.shard_progress) {
     for (usize s = 0; s < shards.size(); ++s) {
-      ShardProgressUpdate update;
-      update.shard_index = s;
-      update.replica_begin = shards[s].replica_begin;
-      update.replicas = shards[s].replicas;
-      update.state = "queued";
-      update.cells_total = dispatch.shard_cell_totals[s];
-      resolved.shard_progress(update);
+      resolved.shard_progress(shard_update(
+          dispatch, shards[s], Attempt{.shard_index = s}, nullptr, "queued"));
     }
   }
 
