@@ -1,10 +1,12 @@
 // Cooperative progress reporting for the grid runners (DESIGN.md §12).
 //
-// run_experiment / run_campaign invoke an optional ProgressFn once per
-// finished grid cell. The callback only observes — it cannot perturb the
-// simulation, so reported matrices stay bit-identical with or without a
-// listener installed. The service (sim/service.h) uses this to drive
-// GET /v1/jobs/<id>/progress while a job is running.
+// run_grid (sim/grid.h), which runs the cells of both run_experiment and
+// run_campaign, is the only caller of GridOptions::progress: once per
+// finished cell, right after it bumps the reese_grid_* counters. The
+// callback only observes — it cannot perturb the simulation, so reported
+// matrices stay bit-identical with or without a listener installed. The
+// service (sim/service.h) uses this to drive GET /v1/jobs/<id>/progress
+// while a job is running.
 #pragma once
 
 #include <functional>
@@ -19,11 +21,13 @@ struct ProgressUpdate {
   u64 committed = 0;     ///< committed instructions across finished cells
 };
 
-/// Invoked from whichever worker thread finished the cell, so with
-/// `jobs > 1` calls arrive concurrently and possibly out of order (a
-/// worker that finished cell 7 may report after the one that finished
-/// cell 8). Implementations must be thread-safe and should merge updates
-/// as monotonic maxima. Keep it cheap: the worker blocks until it returns.
+/// With one worker, invoked on the calling thread in enumeration order
+/// with cells_done running 1..N. Otherwise invoked from whichever worker
+/// thread finished the cell, so calls arrive concurrently and possibly
+/// out of order (a worker that finished cell 7 may report after the one
+/// that finished cell 8). Implementations must be thread-safe and should
+/// merge updates as monotonic maxima. Keep it cheap: the worker blocks
+/// until it returns.
 using ProgressFn = std::function<void(const ProgressUpdate&)>;
 
 /// Per-shard progress from the fleet coordinator (DESIGN.md §17). The

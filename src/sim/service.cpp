@@ -145,7 +145,7 @@ bool parse_jobs_field(const json::Value& object, u32* out,
 }
 
 /// Checkpoint policy ("checkpoint": {"dir", "interval", "resume"}), passed
-/// through to ExperimentSpec/CampaignSpec::checkpoint (DESIGN.md §14). The
+/// through to GridOptions::checkpoint (DESIGN.md §14). The
 /// dir is required when the object is present — a snapshot has to land
 /// somewhere the client can find it again.
 bool parse_checkpoint_field(const json::Value& object, CheckpointOptions* out,
